@@ -10,6 +10,13 @@ Two questions the durability subsystem answers empirically:
   last checkpoint — replay is linear in the tail, so checkpoints bound
   restart time at the checkpoint interval.
 
+A third question is about shape, not speed: a write should cost what
+it changes.  ``depth_ratios`` reports the mean ``DurableDatabase.execute``
+time at history depth 2,000 over that at depth 100, and the states a
+checkpoint encodes in its 8th cycle over its 1st; both are 1 when
+nothing on the write path re-pays for history (``bench_payload`` commits
+them as ``BENCH_e12.json``).
+
 ``--smoke`` shrinks the workload for CI; with ``REPRO_METRICS_JSON``
 set, the sidecar carries the ``wal.*`` counters (records appended,
 fsyncs, rotations, checkpoints, recovery replay lengths).
@@ -20,10 +27,13 @@ from __future__ import annotations
 import sys
 import tempfile
 import time
+from unittest import mock
 
 from repro.core.commands import DefineRelation, ModifyState
 from repro.core.expressions import Const
-from repro.durability import DurableDatabase
+from repro.durability import DurableDatabase, MemoryStore
+from repro.durability import checkpoint as checkpoint_module
+from repro.persistence import json_codec
 from repro.workloads import StateGenerator
 
 POLICIES = ("always", "batch(32, 100)", "never")
@@ -81,6 +91,76 @@ def recovery_latency(
     return seconds, result.replayed
 
 
+SHALLOW, DEEP, WINDOW = 100, 2000, 100
+CYCLES, CYCLE_COMMANDS = 8, 256
+
+
+def execute_cost_by_depth(repeat: int = 3) -> tuple[float, float]:
+    """Mean seconds per ``DurableDatabase.execute`` over the ``WINDOW``
+    commands that start at history depth ``SHALLOW`` and at ``DEEP``
+    (in-memory store, no fsync, no checkpoints: the command path
+    alone).  Best of ``repeat`` runs per window."""
+    commands = command_stream(DEEP + WINDOW + 1)
+    best = [float("inf"), float("inf")]
+    for _ in range(repeat):
+        ddb = DurableDatabase(
+            MemoryStore(), fsync="never", checkpoint_every=0
+        )
+        stamps = [time.perf_counter()]
+        for command in commands:
+            ddb.execute(command)
+            stamps.append(time.perf_counter())
+        ddb.close()
+        # stamps[k + 1] - stamps[k] times the command that takes the
+        # relation from depth k - 1 to k (command 0 defines it)
+        for slot, depth in enumerate((SHALLOW, DEEP)):
+            mean = (stamps[depth + WINDOW + 1] - stamps[depth + 1]) / WINDOW
+            best[slot] = min(best[slot], mean)
+    return best[0], best[1]
+
+
+def states_encoded_per_checkpoint() -> list[int]:
+    """States passed to ``state_to_dict`` by each of ``CYCLES``
+    checkpoints, ``CYCLE_COMMANDS`` appends apart."""
+    encoded = 0
+    original = json_codec.state_to_dict
+
+    def counting(state):
+        nonlocal encoded
+        encoded += 1
+        return original(state)
+
+    counts = []
+    commands = iter(command_stream(CYCLES * CYCLE_COMMANDS + 1))
+    with mock.patch.object(
+        json_codec, "state_to_dict", counting
+    ), mock.patch.object(checkpoint_module, "state_to_dict", counting):
+        ddb = DurableDatabase(
+            MemoryStore(), fsync="never", checkpoint_every=0
+        )
+        ddb.execute(next(commands))
+        for _ in range(CYCLES):
+            for _ in range(CYCLE_COMMANDS):
+                ddb.execute(next(commands))
+            encoded = 0
+            ddb.checkpoint()
+            counts.append(encoded)
+        ddb.close()
+    return counts
+
+
+def depth_ratios() -> dict:
+    shallow, deep = execute_cost_by_depth()
+    counts = states_encoded_per_checkpoint()
+    return {
+        "shallow_us": shallow * 1e6,
+        "deep_us": deep * 1e6,
+        "execute_ratio": deep / shallow,
+        "encoded": counts,
+        "encoded_ratio": counts[-1] / counts[0],
+    }
+
+
 def throughput_table(config) -> list:
     return [
         (
@@ -123,7 +203,64 @@ def report(smoke: bool = False) -> str:
             f"    tail {tail:5d}  replayed {replayed:5d}  "
             f"{seconds * 1000.0:8.1f} ms"
         )
+    if not smoke:
+        ratios = depth_ratios()
+        lines.append(
+            f"  execute cost at depth {DEEP} / depth {SHALLOW}: "
+            f"{ratios['deep_us']:.0f} us / {ratios['shallow_us']:.0f} us"
+            f" = {ratios['execute_ratio']:.2f}"
+        )
+        lines.append(
+            f"  states encoded by checkpoint {CYCLES} / checkpoint 1: "
+            f"{ratios['encoded'][-1]} / {ratios['encoded'][0]}"
+            f" = {ratios['encoded_ratio']:.2f}"
+        )
     return "\n".join(lines)
+
+
+#: The same two measurements at the commit before the write path became
+#: depth-independent (f9ed76f), same host, two runs — the "before".
+PARENT_NOTES = (
+    "before (parent f9ed76f): execute_depth_ratio 10.99 and 10.48 "
+    "(1208us / 110us, 1239us / 118us); checkpoint_encoded_ratio 8.0 "
+    "(states encoded per checkpoint 256, 512, 768, 1024, 1280, 1536, "
+    "1792, 2048). What is left of the first ratio is the O(depth) "
+    "pointer copy of the state-sequence tuple, about 2.5 ns per element."
+)
+
+
+def bench_payload() -> dict:
+    """Perf-trajectory record for the committed ``BENCH_e12.json``."""
+    ratios = depth_ratios()
+    return {
+        "experiment": "e12",
+        "description": (
+            "durable write path: per-command and per-checkpoint cost "
+            "must not grow with history depth"
+        ),
+        "measurements": {
+            "execute_depth_ratio": {
+                "kind": "ratio",
+                "value": round(ratios["execute_ratio"], 2),
+                "ceiling": 1.5,
+                "detail": (
+                    f"mean DurableDatabase.execute {ratios['deep_us']:.1f}us"
+                    f" at depth {DEEP} vs {ratios['shallow_us']:.1f}us at "
+                    f"depth {SHALLOW} ({WINDOW}-command windows, best of 3)"
+                ),
+            },
+            "checkpoint_encoded_ratio": {
+                "kind": "ratio",
+                "value": round(ratios["encoded_ratio"], 2),
+                "ceiling": 1.0,
+                "detail": (
+                    f"states encoded per checkpoint, {CYCLE_COMMANDS} "
+                    f"appends apart: {ratios['encoded']}"
+                ),
+            },
+        },
+        "notes": PARENT_NOTES,
+    }
 
 
 # -- pytest-benchmark entry points -----------------------------------------

@@ -13,6 +13,10 @@ For every measurement of kind ``speedup`` the fresh value must be
 * at least the measurement's absolute ``floor`` when one is recorded
   (the repeated-query measurements commit to the >=5x acceptance bar).
 
+A measurement of kind ``ratio`` is a cost that must stay flat (deep
+history over shallow, last checkpoint over first): lower is better and
+the fresh value must not exceed its recorded ``ceiling``.
+
 Ratios rather than absolute latencies are compared so the check is
 stable across machines: both sides of each speedup are timed in the
 same process on the same host.
@@ -46,7 +50,7 @@ def check(
         baseline = _load(baseline_dir, name)["measurements"]
         fresh = _load(fresh_dir, name)["measurements"]
         for key, committed in baseline.items():
-            if committed.get("kind") != "speedup":
+            if committed.get("kind") not in ("speedup", "ratio"):
                 continue
             if key not in fresh:
                 failures.append(
@@ -54,6 +58,18 @@ def check(
                 )
                 continue
             value = fresh[key]["value"]
+            if committed["kind"] == "ratio":
+                ceiling = committed["ceiling"]
+                print(
+                    f"  {name}.{key}: committed {committed['value']:.2f}, "
+                    f"fresh {value:.2f} (required <= {ceiling:.2f})"
+                )
+                if value > ceiling:
+                    failures.append(
+                        f"{name}.{key}: {value:.2f} is above the "
+                        f"{ceiling:.2f} ceiling"
+                    )
+                continue
             required = committed["value"] * (1.0 - tolerance)
             floor = committed.get("floor")
             print(

@@ -103,25 +103,7 @@ class Relation:
         states = tuple(states)
         previous = -1
         for state, txn in states:
-            if txn <= previous:
-                raise RelationTypeError(
-                    "state-sequence transaction numbers must be strictly "
-                    f"increasing; saw {txn} after {previous}"
-                )
-            if rtype.stores_valid_time and not isinstance(
-                state, HistoricalState
-            ):
-                raise RelationTypeError(
-                    f"{rtype.value} relations store historical states, "
-                    f"got {type(state).__name__}"
-                )
-            if not rtype.stores_valid_time and not isinstance(
-                state, SnapshotState
-            ):
-                raise RelationTypeError(
-                    f"{rtype.value} relations store snapshot states, "
-                    f"got {type(state).__name__}"
-                )
+            _check_element(rtype, state, txn, previous)
             previous = txn
         if not rtype.keeps_history and len(states) > 1:
             raise RelationTypeError(
@@ -180,9 +162,15 @@ class Relation:
         """The relation after ``modify_state`` installs ``state`` at
         transaction ``txn``: replacement for snapshot/historical relations,
         append for rollback/temporal relations (paper Sections 3.5 and 4)."""
-        if self._rtype.keeps_history:
-            return Relation(self._rtype, self._states + ((state, txn),))
-        return Relation(self._rtype, ((state, txn),))
+        rtype = self._rtype
+        states = self._states if rtype.keeps_history else ()
+        # transaction time is append-only: every kept element was
+        # checked when it was installed, so only the new one is
+        _check_element(rtype, state, txn, states[-1][1] if states else -1)
+        successor = Relation.__new__(Relation)
+        successor._rtype = rtype
+        successor._states = states + ((state, txn),)
+        return successor
 
     # -- equality ----------------------------------------------------------
 
@@ -199,6 +187,31 @@ class Relation:
             f"Relation({self._rtype.value}, "
             f"{len(self._states)} states at txns "
             f"{[txn for _, txn in self._states]})"
+        )
+
+
+def _check_element(
+    rtype: RelationType,
+    state: State,
+    txn: TransactionNumber,
+    previous: TransactionNumber,
+) -> None:
+    """The state-sequence invariant for one element following an element
+    stamped ``previous``: a strictly greater transaction number and the
+    state class the relation type stores."""
+    if txn <= previous:
+        raise RelationTypeError(
+            "state-sequence transaction numbers must be strictly "
+            f"increasing; saw {txn} after {previous}"
+        )
+    expected = (
+        HistoricalState if rtype.stores_valid_time else SnapshotState
+    )
+    if not isinstance(state, expected):
+        kind = "historical" if rtype.stores_valid_time else "snapshot"
+        raise RelationTypeError(
+            f"{rtype.value} relations store {kind} states, "
+            f"got {type(state).__name__}"
         )
 
 

@@ -24,8 +24,10 @@ from repro.core.database import Database
 from repro.durability.files import FileStore
 from repro.obsv import hooks as _hooks
 from repro.persistence.json_codec import (
+    FORMAT_VERSION,
     database_from_dict,
     database_to_dict,
+    state_to_dict,
 )
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "checkpoint_lsn",
     "list_checkpoints",
     "write_checkpoint",
+    "CheckpointEncoder",
     "read_checkpoint",
     "latest_checkpoint",
     "drop_old_checkpoints",
@@ -72,17 +75,15 @@ def list_checkpoints(store: FileStore) -> tuple[str, ...]:
     )
 
 
-def write_checkpoint(
-    store: FileStore, database: Database, lsn: int
-) -> str:
-    """Atomically publish ``database`` as the checkpoint covering every
-    WAL record with LSN ≤ ``lsn``.  Returns the file name."""
-    inner = json.dumps(
-        database_to_dict(database),
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=False,
+def _dumps(value) -> str:
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     )
+
+
+def _publish(store: FileStore, inner: str, lsn: int) -> str:
+    """Wrap the database text ``inner`` in the CRC envelope and
+    atomically replace the checkpoint file for ``lsn``."""
     envelope = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -96,6 +97,74 @@ def write_checkpoint(
     if observer is not None:
         observer.checkpointed()
     return name
+
+
+def write_checkpoint(
+    store: FileStore, database: Database, lsn: int
+) -> str:
+    """Atomically publish ``database`` as the checkpoint covering every
+    WAL record with LSN ≤ ``lsn``.  Returns the file name.
+
+    Encodes the whole value from scratch: the one-shot form (a replica's
+    re-snapshot) and the reference :class:`CheckpointEncoder` is tested
+    against, byte for byte."""
+    return _publish(store, _dumps(database_to_dict(database)), lsn)
+
+
+class CheckpointEncoder:
+    """Checkpoints of one evolving database, encoding each state once.
+
+    Transaction time is append-only, so between two checkpoints a
+    rollback or temporal relation only gains elements.  Per identifier
+    the encoder keeps the JSON text of the state-sequence prefix it
+    last wrote, and the last ``(state, txn)`` pair of that prefix: when
+    the relation still holds that very pair at that position the prefix
+    is reused and only the later states are encoded.  Anything else — a
+    replaced snapshot/historical state, a new relation, the first
+    checkpoint after recovery — misses and is encoded whole.  The text
+    is exactly :func:`write_checkpoint`'s.
+    """
+
+    def __init__(self) -> None:
+        #: identifier → (prefix length, its last pair, its JSON text)
+        self._prefixes: dict[str, tuple[int, tuple, str]] = {}
+
+    def _states_text(self, identifier: str, states: tuple) -> str:
+        count, last, text = self._prefixes.get(identifier, (0, None, ""))
+        if not (0 < count <= len(states) and states[count - 1] is last):
+            count, text = 0, ""
+        fresh = ",".join(
+            _dumps({"state": state_to_dict(state), "txn": txn})
+            for state, txn in states[count:]
+        )
+        return f"{text},{fresh}" if text and fresh else text or fresh
+
+    def encode(self, database: Database) -> str:
+        """The text ``json.dumps(database_to_dict(database))`` yields
+        under the checkpoint's key-sorted compact settings."""
+        prefixes = {}
+        relations = []
+        for identifier in sorted(database.state):
+            relation = database.require(identifier)
+            states = relation.rstate
+            text = self._states_text(identifier, states)
+            if states:
+                prefixes[identifier] = (len(states), states[-1], text)
+            relations.append(
+                f'{_dumps(identifier)}:{{"states":[{text}],'
+                f'"type":{_dumps(relation.rtype.value)}}}'
+            )
+        self._prefixes = prefixes
+        return (
+            '{"format":"repro-database","relations":{'
+            + ",".join(relations)
+            + f'}},"transaction_number":{database.transaction_number},'
+            f'"version":{FORMAT_VERSION}}}'
+        )
+
+    def write(self, store: FileStore, database: Database, lsn: int) -> str:
+        """:func:`write_checkpoint`, incrementally."""
+        return _publish(store, self.encode(database), lsn)
 
 
 def read_checkpoint(

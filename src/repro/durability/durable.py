@@ -31,8 +31,8 @@ from repro.core.expressions import Expression
 from repro.core.relation import EMPTY_STATE
 from repro.core.txn import TransactionNumber
 from repro.durability.checkpoint import (
+    CheckpointEncoder,
     drop_old_checkpoints,
-    write_checkpoint,
 )
 from repro.durability.codec import encode_record
 from repro.durability.files import DirectoryStore, FileStore
@@ -88,6 +88,7 @@ class DurableDatabase:
         self._database = result.database
         self._last_recovery = result
         self._since_checkpoint = result.replayed
+        self._checkpoints = CheckpointEncoder()
         self._versioned = None
         if backend is not None:
             from repro.storage.versioned_db import VersionedDatabase
@@ -188,7 +189,9 @@ class DurableDatabase:
         """Sync the log, publish a checkpoint, drop superseded
         checkpoints, and compact fully-covered WAL segments."""
         self._wal.sync()
-        write_checkpoint(self._store, self._database, self._wal.last_lsn)
+        self._checkpoints.write(
+            self._store, self._database, self._wal.last_lsn
+        )
         kept = drop_old_checkpoints(
             self._store, keep=self._keep_checkpoints
         )

@@ -18,7 +18,8 @@ Concrete-syntax summary::
 
 Expression operators: ``union``, ``minus``, ``times``,
 ``project [a, b] (E)``, ``select [F] (E)``, ``derive [G ; V] (E)``,
-``rollback(I, N)`` with ``N`` an integer or ``now`` (the paper's ``∞``).
+``rename(E, old -> new, ...)``, ``rollback(I, N)`` with ``N`` an integer
+or ``now`` (the paper's ``∞``).
 
 Historical constants attach valid time to each row with ``@``::
 

@@ -16,6 +16,7 @@ from repro.core.expressions import (
     Expression,
     Product,
     Project,
+    Rename,
     Rollback,
     Select,
     Union,
@@ -136,6 +137,12 @@ def format_expression(expression: Expression) -> str:
             expression.numeral
         )
         return f"rollback({expression.identifier}, {numeral})"
+    if isinstance(expression, Rename):
+        pairs = "".join(
+            f", {old} -> {new}"
+            for old, new in sorted(expression.mapping.items())
+        )
+        return f"rename({format_expression(expression.operand)}{pairs})"
     raise ExpressionError(f"cannot format expression {expression!r}")
 
 

@@ -67,6 +67,10 @@ def tokenize(source: str) -> list[Token]:
                 tokens.append(Token(TokenType.GT, ">", i))
                 i += 1
             continue
+        if source.startswith("->", i):
+            tokens.append(Token(TokenType.ARROW, "->", i))
+            i += 2
+            continue
         if ch == '"':
             text, i = _lex_string(source, i)
             tokens.append(Token(TokenType.STRING, text, i))

@@ -21,6 +21,7 @@ Grammar (see :mod:`repro.lang` for the surface summary)::
                 | 'select' '[' predicate ']' '(' expr ')'
                 | 'derive' '[' [g_pred] ';' [v_expr] ']' '(' expr ')'
                 | 'rollback' '(' IDENT ',' numeral ')'
+                | 'rename' '(' expr (',' IDENT '->' IDENT)* ')'
                 | constant
                 | '(' expr ')'
     numeral    := INT | 'now'
@@ -71,6 +72,7 @@ from repro.core.expressions import (
     Expression,
     Product,
     Project,
+    Rename,
     Rollback,
     Select,
     Union,
@@ -326,6 +328,24 @@ class Parser:
             numeral = self._numeral()
             self._expect(TokenType.RPAREN)
             return Rollback(identifier, numeral)
+        if token.is_keyword("rename"):
+            self._advance()
+            self._expect(TokenType.LPAREN)
+            operand = self.expression()
+            mapping: dict[str, str] = {}
+            while self._peek().type is TokenType.COMMA:
+                self._advance()
+                old = self._expect(TokenType.IDENT)
+                if old.value in mapping:
+                    raise ParseError(
+                        f"attribute {old.value!r} is renamed twice at "
+                        f"position {old.position}",
+                        old.position,
+                    )
+                self._expect(TokenType.ARROW)
+                mapping[old.value] = self._expect(TokenType.IDENT).value
+            self._expect(TokenType.RPAREN)
+            return Rename(operand, mapping)
         if token.is_keyword("state") or token.is_keyword("historical"):
             return self._constant()
         if token.type is TokenType.LPAREN:

@@ -32,6 +32,7 @@ class TokenType(enum.Enum):
     LTE = "<="
     GT = ">"
     GTE = ">="
+    ARROW = "->"
     EOF = "end of input"
 
 
@@ -53,6 +54,7 @@ KEYWORDS = frozenset(
         "project",
         "select",
         "derive",
+        "rename",
         # constants
         "state",
         "forever",

@@ -134,9 +134,8 @@ def _from_database(database) -> Statistics:
         state = relation.current_state
         cardinalities[identifier] = float(len(state))
         version_counts[identifier] = relation.history_length
-        txns = relation.transaction_numbers
-        if txns:
-            latest_txns[identifier] = txns[-1]
+        if relation.rstate:
+            latest_txns[identifier] = relation.rstate[-1][1]
     return Statistics(cardinalities, version_counts, latest_txns)
 
 

@@ -1,4 +1,4 @@
-"""Clients for the wire protocol: blocking sockets and asyncio streams.
+"""Clients for the wire protocol: blocking sockets and asyncio.
 
 Both clients speak strict request/response on one connection (send,
 await the matching reply) — the protocol permits pipelining, but the
@@ -49,6 +49,7 @@ from repro.errors import (
 )
 from repro.replication.retry import RetryPolicy
 from repro.server import protocol
+from repro.server.stream import FrameStream
 
 __all__ = [
     "ReproClient",
@@ -244,7 +245,7 @@ class ReproClient(_RequestMixin):
 
 
 class AsyncReproClient(_RequestMixin):
-    """The same surface over asyncio streams; hundreds of these share
+    """The same surface over an asyncio :class:`FrameStream`; hundreds share
     one event loop in the load driver."""
 
     def __init__(
@@ -257,15 +258,17 @@ class AsyncReproClient(_RequestMixin):
         self._host = host
         self._port = port
         self._max_frame = max_frame
-        self._decoder = protocol.FrameDecoder(max_frame)
         self._pending: list[bytes] = []
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+        self._writer: Optional[FrameStream] = None
         self._next_id = 0
 
     async def connect(self) -> "AsyncReproClient":
-        self._reader, self._writer = await asyncio.open_connection(
-            self._host, self._port
+        _, self._writer = (
+            await asyncio.get_running_loop().create_connection(
+                lambda: FrameStream(self._max_frame),
+                self._host,
+                self._port,
+            )
         )
         return self
 
@@ -288,19 +291,18 @@ class AsyncReproClient(_RequestMixin):
             # Extra reply from a duplicated request frame — discard.
 
     async def _read_reply(self) -> dict:
-        assert self._reader is not None
+        assert self._writer is not None
         while not self._pending:
             try:
-                chunk = await self._reader.read(65536)
+                self._pending = await self._writer.read_frames()
             except (ConnectionError, OSError) as error:
                 raise ConnectionClosedError(
                     f"connection lost awaiting a response: {error}"
                 ) from error
-            if not chunk:
+            if not self._pending:
                 raise ConnectionClosedError(
                     "server closed the connection before responding"
                 )
-            self._pending.extend(self._decoder.feed(chunk))
         return protocol.decode_message(self._pending.pop(0))
 
     # -- ops ------------------------------------------------------------------
@@ -363,7 +365,6 @@ class AsyncReproClient(_RequestMixin):
             except (ConnectionError, OSError):
                 pass
             self._writer = None
-            self._reader = None
 
     async def __aenter__(self) -> "AsyncReproClient":
         return await self.connect()
@@ -504,7 +505,7 @@ class RetryingClient:
 
 
 class AsyncRetryingClient:
-    """:class:`RetryingClient` semantics over asyncio streams.
+    """:class:`RetryingClient` semantics over asyncio.
 
     :meth:`RetryPolicy.run` sleeps synchronously, so the retry loop is
     reimplemented here over :meth:`RetryPolicy.delays` with

@@ -47,6 +47,7 @@ from repro.server import protocol
 from repro.server.admission import AdmissionController
 from repro.server.dedup import DedupTable
 from repro.server.store import ServerStore, SessionView
+from repro.server.stream import FrameStream
 
 __all__ = ["ServerConfig", "ReproServer", "ThreadedServer", "serve_in_thread"]
 
@@ -108,13 +109,13 @@ class ServerConfig:
 class _Connection:
     """Per-connection state: identity, liveness, write lock, read view."""
 
-    __slots__ = ("id", "writer", "alive", "view", "send_lock")
+    __slots__ = ("id", "stream", "alive", "view", "send_lock")
 
     _ids = itertools.count(1)
 
-    def __init__(self, writer: asyncio.StreamWriter, view: SessionView) -> None:
+    def __init__(self, stream: FrameStream, view: SessionView) -> None:
         self.id = next(self._ids)
-        self.writer = writer
+        self.stream = stream
         self.alive = True
         self.view = view
         self.send_lock = asyncio.Lock()
@@ -159,6 +160,7 @@ class ReproServer:
         self._queue: "asyncio.Queue[_Request]" = asyncio.Queue()
         self._server: Optional[asyncio.base_events.Server] = None
         self._workers: list[asyncio.Task] = []
+        self._handlers: set[asyncio.Task] = set()
         self._connections: set[_Connection] = set()
         self._draining = False
         self.connections_opened = 0
@@ -178,8 +180,8 @@ class ReproServer:
         return self.config.host
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: FrameStream(self.config.max_frame, self._accept),
             self.config.host,
             self.config.port,
             backlog=self.config.backlog,
@@ -237,28 +239,33 @@ class ReproServer:
         await asyncio.gather(*self._workers, return_exceptions=True)
         for connection in list(self._connections):
             connection.alive = False
-            connection.writer.close()
+            connection.stream.close()
         self._connections.clear()
         self.store.close()
 
     # -- connection handling --------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(writer, self.store.view())
+    def _accept(self, stream: FrameStream) -> None:
+        """A connection's transport is up: run its handler as a task
+        (held here, because the loop keeps tasks only weakly)."""
+        handler = asyncio.ensure_future(self._handle_connection(stream))
+        self._handlers.add(handler)
+        handler.add_done_callback(self._handlers.discard)
+
+    async def _handle_connection(self, stream: FrameStream) -> None:
+        connection = _Connection(stream, self.store.view())
         self._connections.add(connection)
         self.connections_opened += 1
         if _obsv.enabled():
             _obsv.get().counter("server.connections_opened").inc()
-        decoder = protocol.FrameDecoder(self.config.max_frame)
         try:
             while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
+                # reading stops while decoded requests wait here unread
+                # (FrameStream pauses the transport): backpressure
                 try:
-                    payloads = list(decoder.feed(chunk))
+                    payloads = await stream.read_frames()
+                    if not payloads:
+                        break
                     messages = [
                         protocol.validate_request(
                             protocol.decode_message(payload)
@@ -279,7 +286,7 @@ class ReproServer:
                     break
                 for message in messages:
                     await self._admit(connection, message)
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except (ConnectionError, OSError):
             pass
         finally:
             connection.alive = False
@@ -287,11 +294,8 @@ class ReproServer:
             self.connections_closed += 1
             if _obsv.enabled():
                 _obsv.get().counter("server.connections_closed").inc()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            stream.close()
+            await stream.wait_closed()
 
     async def _admit(self, connection: _Connection, message: dict) -> None:
         request_id = message.get("id")
@@ -589,8 +593,8 @@ class ReproServer:
             )
         async with connection.send_lock:
             try:
-                connection.writer.write(data)
-                await connection.writer.drain()
+                connection.stream.write(data)
+                await connection.stream.drain()
             except (ConnectionError, OSError):
                 connection.alive = False
 

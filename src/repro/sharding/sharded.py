@@ -448,7 +448,7 @@ class ShardedDatabase:
             # no state had committed yet at the global time ``numeral``;
             # local numeral 0 makes the shard's FINDSTATE return ∅ too
             return 0
-        return relation.transaction_numbers[position - 1]
+        return relation.rstate[position - 1][1]
 
     def localize_numeral(
         self, identifier: str, numeral: Numeral

@@ -151,3 +151,85 @@ class TestWithNewState:
             RelationType.ROLLBACK, [(snap(1), 2), (snap(2), 7)]
         )
         assert r.transaction_numbers == (2, 7)
+
+
+class TestAppendCostsOneCheck:
+    """``with_new_state`` trusts the elements already installed: it
+    checks the new one against the last one, however deep the history
+    (counted, not timed), while the constructor checks everything."""
+
+    DEPTH = 10_000
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        from repro.core import relation as module
+
+        calls = []
+        original = module._check_element
+
+        def counting(rtype, state, txn, previous):
+            calls.append((txn, previous))
+            return original(rtype, state, txn, previous)
+
+        monkeypatch.setattr(module, "_check_element", counting)
+        return calls
+
+    @pytest.fixture
+    def deep(self):
+        state = snap(1)
+        return Relation(
+            RelationType.ROLLBACK,
+            [(state, txn) for txn in range(1, self.DEPTH + 1)],
+        )
+
+    def test_one_check_at_depth(self, deep, checks):
+        successor = deep.with_new_state(snap(2), self.DEPTH + 5)
+        assert checks == [(self.DEPTH + 5, self.DEPTH)]
+        assert successor.history_length == self.DEPTH + 1
+        assert successor.rstate[:-1] == deep.rstate
+        assert successor == Relation(
+            RelationType.ROLLBACK,
+            deep.rstate + ((snap(2), self.DEPTH + 5),),
+        )
+
+    def test_non_increasing_txn_still_rejected(self, deep):
+        for txn in (self.DEPTH, self.DEPTH - 1, 0):
+            with pytest.raises(RelationTypeError, match="strictly"):
+                deep.with_new_state(snap(2), txn)
+
+    def test_wrong_state_class_still_rejected(self, deep):
+        with pytest.raises(RelationTypeError, match="snapshot states"):
+            deep.with_new_state(
+                HistoricalState.empty(KV), self.DEPTH + 1
+            )
+        temporal = Relation(RelationType.TEMPORAL, ()).with_new_state(
+            HistoricalState.empty(KV), 1
+        )
+        with pytest.raises(RelationTypeError, match="historical states"):
+            temporal.with_new_state(snap(1), 2)
+
+    def test_replacement_checks_only_the_new_element(self, checks):
+        r = Relation(RelationType.SNAPSHOT, [(snap(1), 4)])
+        del checks[:]
+        assert r.with_new_state(snap(2), 9).rstate == ((snap(2), 9),)
+        assert checks == [(9, -1)]
+        with pytest.raises(RelationTypeError):
+            r.with_new_state(HistoricalState.empty(KV), 10)
+
+    def test_constructor_checks_every_element(self, deep, checks):
+        Relation(RelationType.ROLLBACK, deep.rstate)
+        assert len(checks) == self.DEPTH
+
+    @pytest.mark.parametrize("position", [0, 1, 5_000, 9_999])
+    def test_constructor_rejects_a_bad_element_anywhere(
+        self, deep, position
+    ):
+        states = list(deep.rstate)
+        states[position] = (HistoricalState.empty(KV), states[position][1])
+        with pytest.raises(RelationTypeError, match="snapshot states"):
+            Relation(RelationType.ROLLBACK, states)
+        if position:
+            states = list(deep.rstate)
+            states[position] = (snap(1), states[position - 1][1])
+            with pytest.raises(RelationTypeError, match="strictly"):
+                Relation(RelationType.ROLLBACK, states)
