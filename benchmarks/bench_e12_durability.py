@@ -15,7 +15,11 @@ it changes.  ``depth_ratios`` reports the mean ``DurableDatabase.execute``
 time at history depth 2,000 over that at depth 100, and the states a
 checkpoint encodes in its 8th cycle over its 1st; both are 1 when
 nothing on the write path re-pays for history (``bench_payload`` commits
-them as ``BENCH_e12.json``).
+them as ``BENCH_e12.json``).  Recovery's counterpart is
+``rows_built_on_open``: ``SnapshotTuple`` constructions while a
+``DurableDatabase`` opens from a checkpoint, over the distinct rows in
+that checkpoint — 1 when each row is validated and built once, however
+many states repeat it.
 
 ``--smoke`` shrinks the workload for CI; with ``REPRO_METRICS_JSON``
 set, the sidecar carries the ``wal.*`` counters (records appended,
@@ -24,16 +28,19 @@ fsyncs, rotations, checkpoints, recovery replay lengths).
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 import time
 from unittest import mock
 
 from repro.core.commands import DefineRelation, ModifyState
-from repro.core.expressions import Const
+from repro.core.expressions import Const, Rollback, Union
+from repro.core.txn import NOW
 from repro.durability import DurableDatabase, MemoryStore
 from repro.durability import checkpoint as checkpoint_module
 from repro.persistence import json_codec
+from repro.snapshot.tuples import SnapshotTuple
 from repro.workloads import StateGenerator
 
 POLICIES = ("always", "batch(32, 100)", "never")
@@ -149,15 +156,65 @@ def states_encoded_per_checkpoint() -> list[int]:
     return counts
 
 
+RECOVERY_DEPTH = 300
+
+
+def rows_built_on_open() -> tuple[int, int]:
+    """(``SnapshotTuple`` constructions during one ``DurableDatabase``
+    open, distinct rows in the checkpoint it opens from).  The history
+    is ``RECOVERY_DEPTH`` appends of one row each to the current state
+    (``rollback(r, now) union {row}``), as the paper's §3.5 relations
+    grow, so each row recurs in every later state; it is checkpointed
+    before closing, so the open replays no WAL."""
+    generator = StateGenerator(seed=3)
+    store = MemoryStore()
+    with DurableDatabase(store, fsync="never", checkpoint_every=0) as ddb:
+        ddb.execute(DefineRelation("r", "rollback"))
+        for _ in range(RECOVERY_DEPTH):
+            row = Const(generator.snapshot_state(1))
+            ddb.execute(ModifyState("r", Union(Rollback("r", NOW), row)))
+        ddb.checkpoint()
+    (name,) = checkpoint_module.list_checkpoints(store)
+    envelope = json.loads(store.read(name))
+    relations = json.loads(envelope["database"])["relations"]
+    distinct = sum(
+        len(
+            {
+                json.dumps([entry["state"]["schema"], row])
+                for entry in relation["states"]
+                for row in entry["state"]["rows"]
+            }
+        )
+        for relation in relations.values()
+    )
+    built = 0
+    original = SnapshotTuple.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        original(self, *args, **kwargs)
+
+    with mock.patch.object(SnapshotTuple, "__init__", counting):
+        recovered = DurableDatabase(store, checkpoint_every=0)
+    assert recovered.last_recovery.replayed == 0
+    recovered.close()
+    return built, distinct
+
+
 def depth_ratios() -> dict:
     shallow, deep = execute_cost_by_depth()
     counts = states_encoded_per_checkpoint()
+    built, distinct = rows_built_on_open()
     return {
         "shallow_us": shallow * 1e6,
         "deep_us": deep * 1e6,
         "execute_ratio": deep / shallow,
         "encoded": counts,
         "encoded_ratio": counts[-1] / counts[0],
+        "rows_built": built,
+        "rows_distinct": distinct,
+        "rows_built_ratio": built / distinct,
     }
 
 
@@ -215,17 +272,27 @@ def report(smoke: bool = False) -> str:
             f"{ratios['encoded'][-1]} / {ratios['encoded'][0]}"
             f" = {ratios['encoded_ratio']:.2f}"
         )
+        lines.append(
+            f"  rows built on open / distinct rows in the checkpoint: "
+            f"{ratios['rows_built']} / {ratios['rows_distinct']}"
+            f" = {ratios['rows_built_ratio']:.2f}"
+        )
     return "\n".join(lines)
 
 
-#: The same two measurements at the commit before the write path became
-#: depth-independent (f9ed76f), same host, two runs — the "before".
+#: The "before" of each measurement: the first two at the commit before
+#: the write path became depth-independent (f9ed76f), same host, two
+#: runs; the third at the commit before checkpoint decode shared rows
+#: (9e4226d), where it is a deterministic count.
 PARENT_NOTES = (
     "before (parent f9ed76f): execute_depth_ratio 10.99 and 10.48 "
     "(1208us / 110us, 1239us / 118us); checkpoint_encoded_ratio 8.0 "
     "(states encoded per checkpoint 256, 512, 768, 1024, 1280, 1536, "
     "1792, 2048). What is left of the first ratio is the O(depth) "
-    "pointer copy of the state-sequence tuple, about 2.5 ns per element."
+    "pointer copy of the state-sequence tuple, about 2.5 ns per element. "
+    "before (parent 9e4226d): recovery_rows_built_ratio 150.5 (45,150 "
+    "SnapshotTuple constructions for 300 distinct rows: every row "
+    "rebuilt and re-validated in every state that holds it)."
 )
 
 
@@ -256,6 +323,17 @@ def bench_payload() -> dict:
                 "detail": (
                     f"states encoded per checkpoint, {CYCLE_COMMANDS} "
                     f"appends apart: {ratios['encoded']}"
+                ),
+            },
+            "recovery_rows_built_ratio": {
+                "kind": "ratio",
+                "value": round(ratios["rows_built_ratio"], 2),
+                "ceiling": 1.0,
+                "detail": (
+                    f"SnapshotTuple constructions opening a checkpointed "
+                    f"{RECOVERY_DEPTH}-append history: "
+                    f"{ratios['rows_built']} for "
+                    f"{ratios['rows_distinct']} distinct rows"
                 ),
             },
         },

@@ -17,6 +17,11 @@ A measurement of kind ``ratio`` is a cost that must stay flat (deep
 history over shallow, last checkpoint over first): lower is better and
 the fresh value must not exceed its recorded ``ceiling``.
 
+Kinds ``count`` and ``latency_ms`` are recorded for the trajectory and
+not compared.  Any other kind in a committed sidecar, or a ``ratio``
+without a ``ceiling``, is itself a failure: a typo must not turn a gate
+off silently.
+
 Ratios rather than absolute latencies are compared so the check is
 stable across machines: both sides of each speedup are timed in the
 same process on the same host.
@@ -30,6 +35,8 @@ import sys
 
 DEFAULT_NAMES = ["e2", "e4", "e13", "e16"]
 DEFAULT_TOLERANCE = 0.20
+GATED_KINDS = ("speedup", "ratio")
+RECORDED_KINDS = ("count", "latency_ms")
 
 
 def _load(directory: str, name: str) -> dict:
@@ -50,7 +57,20 @@ def check(
         baseline = _load(baseline_dir, name)["measurements"]
         fresh = _load(fresh_dir, name)["measurements"]
         for key, committed in baseline.items():
-            if committed.get("kind") not in ("speedup", "ratio"):
+            kind = committed.get("kind")
+            if kind in RECORDED_KINDS:
+                continue
+            if kind not in GATED_KINDS:
+                known = ", ".join(GATED_KINDS + RECORDED_KINDS)
+                failures.append(
+                    f"{name}.{key}: unknown kind {kind!r} in the committed "
+                    f"sidecar (known: {known})"
+                )
+                continue
+            if kind == "ratio" and "ceiling" not in committed:
+                failures.append(
+                    f"{name}.{key}: committed ratio has no ceiling"
+                )
                 continue
             if key not in fresh:
                 failures.append(
@@ -58,7 +78,7 @@ def check(
                 )
                 continue
             value = fresh[key]["value"]
-            if committed["kind"] == "ratio":
+            if kind == "ratio":
                 ceiling = committed["ceiling"]
                 print(
                     f"  {name}.{key}: committed {committed['value']:.2f}, "

@@ -18,7 +18,7 @@ from repro.historical.state import HistoricalState
 from repro.historical.tuples import HistoricalTuple
 from repro.snapshot.predicates import Predicate
 from repro.snapshot.schema import Schema
-from repro.snapshot.tuples import SnapshotTuple
+from repro.snapshot.tuples import SnapshotTuple, picker
 
 __all__ = [
     "historical_intersection",
@@ -79,22 +79,20 @@ def historical_natural_join(
         list(left.schema.attributes)
         + [right.schema[n] for n in right_only]
     )
+    left_key = picker(left.schema, common)
+    right_key = picker(right.schema, common)
+    right_rest = picker(right.schema, right_only)
     buckets: dict[tuple, list[HistoricalTuple]] = {}
     for r in right.tuples:
-        key = tuple(r[name] for name in common)
-        buckets.setdefault(key, []).append(r)
+        buckets.setdefault(right_key(r.value.values), []).append(r)
 
+    derived = SnapshotTuple._derived
     out: list[HistoricalTuple] = []
     for l in left.tuples:
-        key = tuple(l[name] for name in common)
-        for r in buckets.get(key, ()):
+        for r in buckets.get(left_key(l.value.values), ()):
             shared = l.valid_time.intersect(r.valid_time)
             if shared.is_empty():
                 continue
-            values = l.value.values + tuple(
-                r[name] for name in right_only
-            )
-            out.append(
-                HistoricalTuple(values, shared, schema=joined_schema)
-            )
+            values = l.value.values + right_rest(r.value.values)
+            out.append(HistoricalTuple(derived(joined_schema, values), shared))
     return HistoricalState(joined_schema, out)

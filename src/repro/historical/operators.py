@@ -36,7 +36,7 @@ from repro.historical.temporal_exprs import TemporalExpression, ValidTime
 from repro.historical.predicates import TemporalPredicate
 from repro.historical.tuples import HistoricalTuple
 from repro.snapshot.predicates import Predicate
-from repro.snapshot.tuples import SnapshotTuple
+from repro.snapshot.tuples import SnapshotTuple, picker
 
 __all__ = [
     "historical_union",
@@ -93,12 +93,14 @@ def historical_product(
     contribute nothing.
     """
     joined_schema = left.schema.concat(right.schema)
+    derived = SnapshotTuple._derived
     out: list[HistoricalTuple] = []
     for l in left.tuples:
         for r in right.tuples:
-            combined = l.concat(r)
-            if combined is not None:
-                out.append(combined)
+            shared = l.valid_time.intersect(r.valid_time)
+            if not shared.is_empty():
+                value = derived(joined_schema, l.value.values + r.value.values)
+                out.append(HistoricalTuple(value, shared))
     return HistoricalState(joined_schema, out)
 
 
@@ -110,8 +112,16 @@ def historical_project(
     if len(set(names)) != len(names):
         raise SchemaError(f"projection list has duplicates: {list(names)}")
     sub_schema = state.schema.project(names)
+    pick = picker(state.schema, names)
+    derived = SnapshotTuple._derived
     return HistoricalState(
-        sub_schema, [t.project(names) for t in state.tuples]
+        sub_schema,
+        [
+            HistoricalTuple(
+                derived(sub_schema, pick(t.value.values)), t.valid_time
+            )
+            for t in state.tuples
+        ],
     )
 
 
@@ -161,10 +171,11 @@ def historical_rename(
     times are untouched.
     """
     new_schema = state.schema.rename(mapping)
+    derived = SnapshotTuple._derived
     return HistoricalState(
         new_schema,
         [
-            HistoricalTuple(t.value.with_schema(new_schema), t.valid_time)
+            HistoricalTuple(derived(new_schema, t.value.values), t.valid_time)
             for t in state.tuples
         ],
     )

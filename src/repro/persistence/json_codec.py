@@ -24,6 +24,7 @@ from repro.snapshot.attributes import (
 )
 from repro.snapshot.schema import Schema
 from repro.snapshot.state import SnapshotState
+from repro.snapshot.tuples import SnapshotTuple
 
 __all__ = [
     "FORMAT_VERSION",
@@ -111,17 +112,39 @@ def state_to_dict(state) -> dict[str, Any]:
 
 def state_from_dict(payload: dict[str, Any]):
     """Rebuild a state from :func:`state_to_dict` output."""
-    schema = _schema_from_dict(payload["schema"])
+    return _decode_state(payload, {})
+
+
+def _decode_state(payload: dict[str, Any], tables: dict):
+    """:func:`state_from_dict` sharing ``tables`` (one Schema and one row
+    table per distinct schema) with the other states of a relation, so
+    each distinct row is validated and built once.  The row key carries
+    every value's type: ``1``, ``True`` and ``1.0`` hash equal."""
+    schema_key = tuple((a["name"], a["domain"]) for a in payload["schema"])
+    if schema_key not in tables:
+        tables[schema_key] = (_schema_from_dict(payload["schema"]), {})
+    schema, rows = tables[schema_key]
+
+    def row(values: list) -> SnapshotTuple:
+        key = (*values, *map(type, values))
+        try:
+            return rows[key]
+        except KeyError:
+            rows[key] = built = SnapshotTuple(schema, values)
+            return built
+        except TypeError:  # an unhashable value: validation rejects it
+            return SnapshotTuple(schema, values)
+
     if payload["kind"] == "historical":
         tuples = [
-            HistoricalTuple(
-                values, _periods_from_list(periods), schema=schema
-            )
+            HistoricalTuple(row(values), _periods_from_list(periods))
             for values, periods in payload["rows"]
         ]
         return HistoricalState(schema, tuples)
     if payload["kind"] == "snapshot":
-        return SnapshotState(schema, payload["rows"])
+        return SnapshotState.from_tuples(
+            schema, frozenset(map(row, payload["rows"]))
+        )
     raise StorageError(f"unknown state kind {payload['kind']!r}")
 
 
@@ -145,8 +168,9 @@ def _relation_to_dict(relation: Relation) -> dict[str, Any]:
 
 def _relation_from_dict(payload: dict[str, Any]) -> Relation:
     rtype = RelationType.from_name(payload["type"])
+    tables: dict = {}
     states = [
-        (state_from_dict(entry["state"]), entry["txn"])
+        (_decode_state(entry["state"], tables), entry["txn"])
         for entry in payload["states"]
     ]
     return Relation(rtype, states)

@@ -16,7 +16,7 @@ from repro.snapshot.operators import difference, product, project, select
 from repro.snapshot.predicates import Predicate
 from repro.snapshot.schema import Schema
 from repro.snapshot.state import SnapshotState
-from repro.snapshot.tuples import SnapshotTuple
+from repro.snapshot.tuples import SnapshotTuple, picker
 
 __all__ = [
     "intersection",
@@ -40,7 +40,8 @@ def intersection(left: SnapshotState, right: SnapshotState) -> SnapshotState:
 def rename(state: SnapshotState, mapping: Mapping[str, str]) -> SnapshotState:
     """Rename attributes per ``mapping`` (old name -> new name)."""
     new_schema = state.schema.rename(mapping)
-    tuples = frozenset(t.with_schema(new_schema) for t in state.tuples)
+    derived = SnapshotTuple._derived
+    tuples = frozenset(derived(new_schema, t.values) for t in state.tuples)
     return SnapshotState.from_tuples(new_schema, tuples)
 
 
@@ -72,18 +73,22 @@ def natural_join(left: SnapshotState, right: SnapshotState) -> SnapshotState:
         list(left.schema.attributes)
         + [right.schema[n] for n in right_only]
     )
-    buckets: dict[tuple, list[SnapshotTuple]] = {}
+    left_key = picker(left.schema, common)
+    right_key = picker(right.schema, common)
+    right_rest = picker(right.schema, right_only)
+    buckets: dict[tuple, list[tuple]] = {}
     for r in right.tuples:
-        key = tuple(r[name] for name in common)
-        buckets.setdefault(key, []).append(r)
+        buckets.setdefault(right_key(r.values), []).append(
+            right_rest(r.values)
+        )
 
-    out = set()
-    for l in left.tuples:
-        key = tuple(l[name] for name in common)
-        for r in buckets.get(key, ()):
-            values = l.values + tuple(r[name] for name in right_only)
-            out.add(SnapshotTuple(joined_schema, values))
-    return SnapshotState.from_tuples(joined_schema, frozenset(out))
+    derived = SnapshotTuple._derived
+    out = frozenset(
+        derived(joined_schema, l.values + rest)
+        for l in left.tuples
+        for rest in buckets.get(left_key(l.values), ())
+    )
+    return SnapshotState.from_tuples(joined_schema, out)
 
 
 def semijoin(left: SnapshotState, right: SnapshotState) -> SnapshotState:

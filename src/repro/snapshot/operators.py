@@ -14,6 +14,7 @@ from typing import Sequence
 from repro.errors import SchemaError
 from repro.snapshot.predicates import Predicate
 from repro.snapshot.state import SnapshotState
+from repro.snapshot.tuples import SnapshotTuple, picker
 
 __all__ = ["union", "difference", "product", "project", "select"]
 
@@ -41,8 +42,11 @@ def product(left: SnapshotState, right: SnapshotState) -> SnapshotState:
     operand first if they collide.
     """
     joined_schema = left.schema.concat(right.schema)
+    derived = SnapshotTuple._derived
     tuples = frozenset(
-        l.concat(r) for l in left.tuples for r in right.tuples
+        derived(joined_schema, l.values + r.values)
+        for l in left.tuples
+        for r in right.tuples
     )
     return SnapshotState.from_tuples(joined_schema, tuples)
 
@@ -56,7 +60,11 @@ def project(state: SnapshotState, names: Sequence[str]) -> SnapshotState:
     if len(set(names)) != len(names):
         raise SchemaError(f"projection list has duplicates: {list(names)}")
     sub_schema = state.schema.project(names)
-    tuples = frozenset(t.project(names) for t in state.tuples)
+    pick = picker(state.schema, names)
+    derived = SnapshotTuple._derived
+    tuples = frozenset(
+        derived(sub_schema, pick(t.values)) for t in state.tuples
+    )
     return SnapshotState.from_tuples(sub_schema, tuples)
 
 

@@ -8,12 +8,26 @@ snapshot algebra.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
 from repro.errors import SchemaError
 from repro.snapshot.schema import Schema
 
-__all__ = ["SnapshotTuple"]
+__all__ = ["SnapshotTuple", "picker"]
+
+
+def picker(
+    schema: Schema, names: Sequence[str]
+) -> Callable[[tuple], tuple]:
+    """``values -> (values of names...)`` over value tuples of ``schema``,
+    with the positions resolved once per operator, not once per tuple."""
+    positions = [schema.position(name) for name in names]
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    # itemgetter(p) would return the bare value; a slice keeps a tuple
+    start = positions[0] if positions else 0
+    return itemgetter(slice(start, start + len(positions)))
 
 
 class SnapshotTuple:
@@ -21,7 +35,7 @@ class SnapshotTuple:
 
     Construction accepts either a sequence of values in schema order or a
     mapping from attribute names to values.  Every value is validated against
-    its attribute's domain.
+    its attribute's domain (operators derive tuples via :meth:`_derived`).
 
     >>> s = Schema(['name', 'dept'])
     >>> t = SnapshotTuple(s, ['merrie', 'physics'])
@@ -36,7 +50,14 @@ class SnapshotTuple:
         schema: Schema,
         values: Union[Sequence[Any], Mapping[str, Any]],
     ) -> None:
-        if isinstance(values, Mapping):
+        if type(values) in (tuple, list):  # fast path past the ABC check
+            ordered = tuple(values)
+        elif isinstance(values, (str, bytes)):
+            raise SchemaError(
+                f"tuple values must be a sequence or mapping of values, "
+                f"not the {type(values).__name__} {values!r}"
+            )
+        elif isinstance(values, Mapping):
             missing = set(schema.names) - set(values)
             extra = set(values) - set(schema.names)
             if missing or extra:
@@ -47,16 +68,26 @@ class SnapshotTuple:
             ordered = tuple(values[name] for name in schema.names)
         else:
             ordered = tuple(values)
-            if len(ordered) != schema.degree:
-                raise SchemaError(
-                    f"tuple has {len(ordered)} values but schema "
-                    f"{schema.names} has degree {schema.degree}"
-                )
+        if len(ordered) != schema.degree:
+            raise SchemaError(
+                f"tuple has {len(ordered)} values but schema "
+                f"{schema.names} has degree {schema.degree}"
+            )
         for attribute, value in zip(schema.attributes, ordered):
             attribute.domain.validate(value)
         self._schema = schema
         self._values = ordered
         self._hash: int | None = None
+
+    @classmethod
+    def _derived(cls, schema: Schema, values: tuple) -> "SnapshotTuple":
+        """Internal fast path: a tuple whose every value was validated
+        under the identical attribute of ``schema`` in a source tuple."""
+        derived = cls.__new__(cls)
+        derived._schema = schema
+        derived._values = values
+        derived._hash = None
+        return derived
 
     @property
     def schema(self) -> Schema:
@@ -87,18 +118,22 @@ class SnapshotTuple:
 
     def project(self, names: Sequence[str]) -> "SnapshotTuple":
         """The sub-tuple over the named attributes, in the order given."""
-        sub_schema = self._schema.project(names)
-        return SnapshotTuple(sub_schema, [self[name] for name in names])
+        pick = picker(self._schema, names)
+        return SnapshotTuple._derived(
+            self._schema.project(names), pick(self._values)
+        )
 
     def concat(self, other: "SnapshotTuple") -> "SnapshotTuple":
         """The concatenation of two tuples (for cartesian products)."""
         joined = self._schema.concat(other._schema)
-        return SnapshotTuple(joined, self._values + other._values)
+        return SnapshotTuple._derived(joined, self._values + other._values)
 
     def with_schema(self, schema: Schema) -> "SnapshotTuple":
         """The same values reinterpreted under another schema of equal
-        degree (used by rename)."""
-        return SnapshotTuple(schema, self._values)
+        degree (used by rename); re-validated only if a domain differs."""
+        if [a.domain for a in schema] != [a.domain for a in self._schema]:
+            return SnapshotTuple(schema, self._values)
+        return SnapshotTuple._derived(schema, self._values)
 
     def replace(self, **changes: Any) -> "SnapshotTuple":
         """A copy of this tuple with the given attribute values changed.
@@ -121,13 +156,15 @@ class SnapshotTuple:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SnapshotTuple):
             return NotImplemented
-        return self._schema == other._schema and self._values == other._values
+        return self._values == other._values and (
+            self._schema is other._schema or self._schema == other._schema
+        )
 
     def __hash__(self) -> int:
+        # the tuples of one state share its schema: the values alone
+        # tell them apart, and equal tuples still hash equal
         if self._hash is None:
-            self._hash = hash(
-                ("SnapshotTuple", self._schema, self._values)
-            )
+            self._hash = hash(self._values)
         return self._hash
 
     def __repr__(self) -> str:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import os
 import random
 import zlib
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
@@ -192,3 +194,24 @@ def kv_historical_states(draw, max_rows: int = 6) -> HistoricalState:
             HistoricalTuple(list(row), periods, schema=schema)
         )
     return HistoricalState(schema, tuples)
+
+
+# ---------------------------------------------------------------------------
+# spies
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def calls_to(owner, name: str):
+    """Record the positional arguments of every call to ``owner.name``
+    (a class attribute, so methods see ``self`` first) while the block
+    runs; the behaviour is unchanged.  For count tests: no wall clock."""
+    original = getattr(owner, name)
+    calls: list[tuple] = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    with mock.patch.object(owner, name, spy):
+        yield calls
