@@ -6,6 +6,8 @@ Usage:
     python -m benchmarks.check_bench BASELINE_DIR FRESH_DIR [names...]
     python -m benchmarks.check_bench . fresh e2 e4 e13 e16 --tolerance 0.2
 
+With no names, every ``BENCH_<name>.json`` in BASELINE_DIR is checked.
+
 For every measurement of kind ``speedup`` the fresh value must be
 
 * at least ``(1 - tolerance)`` of the committed baseline value
@@ -29,14 +31,22 @@ same process on the same host.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import sys
 
-DEFAULT_NAMES = ["e2", "e4", "e13", "e16"]
 DEFAULT_TOLERANCE = 0.20
 GATED_KINDS = ("speedup", "ratio")
 RECORDED_KINDS = ("count", "latency_ms")
+
+
+def committed_names(directory: str) -> list[str]:
+    """The name of every ``BENCH_<name>.json`` sidecar in ``directory``."""
+    return sorted(
+        os.path.basename(path)[len("BENCH_"):-len(".json")]
+        for path in glob.glob(os.path.join(directory, "BENCH_*.json"))
+    )
 
 
 def _load(directory: str, name: str) -> dict:
@@ -127,7 +137,9 @@ def main(argv: list[str]) -> int:
         print(__doc__)
         return 2
     baseline_dir, fresh_dir = args[0], args[1]
-    names = [name.lower() for name in args[2:]] or DEFAULT_NAMES
+    names = [name.lower() for name in args[2:]] or committed_names(
+        baseline_dir
+    )
     failures = check(baseline_dir, fresh_dir, names, tolerance)
     if failures:
         print("\nBENCH REGRESSION:")

@@ -413,6 +413,9 @@ class Cluster:
         :meth:`~repro.sharding.sharded.ShardedDatabase.as_database`."""
         return self._sharded.as_database()
 
+    #: The global value, assembled on each access.
+    database = property(as_database)
+
     def _read_on_shard(self, index: int, expression: Expression):
         replica = self._pick_replica(index)
         observer = _hooks.cluster_observer()

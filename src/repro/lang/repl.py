@@ -250,9 +250,7 @@ class Repl:
         except (OSError, ReproError, ValueError) as error:
             self._print(f"error: {error}")
             return True
-        # replace the session's database wholesale
-        self.session._database = database
-        self.session._history.append(database)
+        self.session.reanchor(database)
         self._print(
             f"loaded {path} (txn {database.transaction_number})"
         )

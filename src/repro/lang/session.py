@@ -8,6 +8,14 @@ against a session is observationally identical to evaluating the whole
 prefix as one sentence starting from the empty database — a property the
 test suite verifies.
 
+Where the value lives cannot change what a session observes, so the
+constructor chooses its *backing* once — memory, ``durable_dir``,
+``replica_of``, ``shards`` or ``cluster`` — and every later call goes to
+that one object (a ``DurableDatabase``, ``Replica``, ``ShardedDatabase``
+or ``Cluster``, or a value plus its transaction manager).  Plain and
+durable backings run compiled plans against their value; the others
+evaluate reads themselves (a staleness bound, scatter-gather).
+
 The session also offers :meth:`Session.query`, which parses and evaluates a
 side-effect-free expression (the "display the contents of a relation" use
 the paper mentions as a command example), and :meth:`Session.display`,
@@ -35,6 +43,13 @@ from repro.core.compile import CompiledPlan, compile_expression
 from repro.core.database import EMPTY_DATABASE, Database
 from repro.core.expressions import Expression, Rollback
 from repro.core.txn import NOW
+from repro.errors import (
+    ClusterError,
+    ConcurrencyError,
+    ReplicationError,
+    ShardingError,
+    StorageError,
+)
 from repro.historical.state import HistoricalState
 from repro.lang.parser import parse_command, parse_expression, parse_sentence
 from repro.obsv import registry as _obsv
@@ -46,6 +61,11 @@ from repro.snapshot.state import SnapshotState
 __all__ = ["Session"]
 
 State = TypingUnion[SnapshotState, HistoricalState]
+
+#: What the topology-only operations require, in their refusals.
+_SHARDED = "sharded (shards=N or cluster=ClusterConfig(...))"
+_CLUSTERED = "clustered (cluster=ClusterConfig(...))"
+_IN_MEMORY = "in-memory (a WAL, replica or coordinator owns its value)"
 
 
 class _CachedPlan:
@@ -59,6 +79,197 @@ class _CachedPlan:
         self.optimized: Optional[Expression] = None
         self.compiled: Optional[CompiledPlan] = None
         self.txn: Optional[int] = None
+
+
+class _InMemory:
+    """The plain backing: a database value in memory, plus the
+    transaction manager once one is asked for (from the start under
+    ``si``/``ssi``).  While a manager exists it owns the value, so
+    scripted and transactional writes share one commit path."""
+
+    __slots__ = ("_value", "_manager")
+
+    def __init__(self, isolation: str) -> None:
+        self._value = EMPTY_DATABASE
+        self._manager = None
+        if isolation != "serial":
+            from repro.concurrency.mvcc import MVCCManager
+
+            self._manager = MVCCManager(EMPTY_DATABASE, isolation)
+
+    @property
+    def database(self) -> Database:
+        manager = self._manager
+        return self._value if manager is None else manager.database
+
+    @property
+    def transaction_number(self) -> int:
+        return self.database.transaction_number
+
+    @property
+    def manager(self):
+        """The transaction manager, created serial on first use."""
+        if self._manager is None:
+            from repro.concurrency.manager import TransactionManager
+
+            self._manager = TransactionManager(self._value)
+        return self._manager
+
+    def execute(self, command: Command) -> Database:
+        if self._manager is None:
+            self._value = command.execute(self._value)
+            return self._value
+        return self._manager.run(lambda txn: txn.stage(command))
+
+    def evaluate(self, expression: Expression) -> State:
+        return expression.evaluate(self.database)
+
+    def reanchor(self, database: Database) -> None:
+        if self._manager is not None:
+            raise ConcurrencyError(
+                "reanchor(): this session's transaction manager owns its "
+                "value; transactions begun against it could not commit"
+            )
+        self._value = database
+
+
+def _open_backing(
+    durable_dir, *, fsync, checkpoint_every, replica_of, max_lag, on_stale,
+    retry, shards, partitioner, cluster, isolation,
+):
+    """Check how the backing kwargs compose and open the one backing
+    they name; returns ``(kind, backing)``."""
+    if isolation not in ("serial", "si", "ssi"):
+        raise ValueError(
+            f"isolation must be 'serial', 'si' or 'ssi', got "
+            f"{isolation!r}"
+        )
+    if isolation != "serial" and (
+        durable_dir is not None
+        or replica_of is not None
+        or shards is not None
+        or cluster is not None
+    ):
+        raise ValueError(
+            "isolation='si'/'ssi' (multi-writer MVCC) applies to "
+            "plain in-memory sessions; durable, replica, sharded "
+            "and cluster sessions serialize writes through their "
+            "WAL/coordinator commit path (isolation='serial')"
+        )
+    if cluster is not None:
+        if shards is not None:
+            raise ValueError(
+                "cluster=ClusterConfig(...) already names the shard "
+                "count (ClusterConfig(shards=N)); drop the legacy "
+                "shards= kwarg"
+            )
+        if replica_of is not None:
+            raise ValueError(
+                "cluster=ClusterConfig(...) manages its own replica "
+                "sets (ClusterConfig(replicas_per_shard=K)); drop "
+                "the legacy replica_of= kwarg"
+            )
+        if durable_dir is not None:
+            raise ValueError(
+                "cluster sessions place each shard primary under "
+                "the cluster's own directory; pass "
+                "Cluster(config, directory=...) and hand the "
+                "Cluster to cluster= instead of durable_dir="
+            )
+    if durable_dir is not None and replica_of is not None:
+        raise ValueError(
+            "a session is a primary (durable_dir=...) or a replica "
+            "(replica_of=...), not both"
+        )
+    if shards is not None and replica_of is not None:
+        raise ValueError(
+            "a session is sharded (shards=N) or a replica "
+            "(replica_of=...), not both; to stack the two, compose "
+            "them with cluster=ClusterConfig(shards=N, "
+            "replicas_per_shard=K)"
+        )
+    if partitioner is not None and shards is None:
+        raise ValueError(
+            "partitioner= places identifiers across shards and needs "
+            "shards=N; a cluster takes its own "
+            "(ClusterConfig(partitioner=...))"
+        )
+    if replica_of is None and (
+        retry is not None or max_lag is not None or on_stale != "reject"
+    ):
+        raise ValueError(
+            "retry=, max_lag= and on_stale= tune how a replica follows "
+            "its primary and need replica_of=...; a cluster takes its "
+            "own (ClusterConfig(max_lag=..., on_stale=...))"
+        )
+    if cluster is not None:
+        from repro.cluster import Cluster, ClusterConfig
+
+        if isinstance(cluster, ClusterConfig):
+            return "cluster", Cluster(cluster)
+        if isinstance(cluster, Cluster):
+            return "cluster", cluster
+        raise ValueError(
+            "cluster= must be a ClusterConfig (the usual form) "
+            f"or a prebuilt Cluster, got "
+            f"{type(cluster).__name__}"
+        )
+    if shards is not None:
+        from repro.sharding import ShardedDatabase
+
+        return "sharded", ShardedDatabase(
+            shards,
+            directory=durable_dir,
+            partitioner=partitioner,
+            fsync=fsync,
+            checkpoint_every=checkpoint_every,
+        )
+    if replica_of is not None:
+        replica = _follow(
+            replica_of, retry=retry, max_lag=max_lag, on_stale=on_stale
+        )
+        replica.catch_up()
+        return "replica", replica
+    if durable_dir is not None:
+        from repro.durability import DurableDatabase
+
+        return "durable", DurableDatabase(
+            durable_dir,
+            fsync=fsync,
+            checkpoint_every=checkpoint_every,
+        )
+    return "memory", _InMemory(isolation)
+
+
+def _follow(source, *, retry, max_lag, on_stale):
+    """A replica of ``source``: a Replica, a ReplicationStream, a
+    DurableDatabase, or another (durable) Session."""
+    from repro.durability import DurableDatabase
+    from repro.replication import PrimaryStream, Replica
+    from repro.replication.stream import ReplicationStream
+
+    if isinstance(source, Replica):
+        return source
+    if isinstance(source, Session):
+        if source.durable is None:
+            raise ValueError(
+                "replica_of: the source session is purely "
+                "in-memory; only durable sessions publish a WAL "
+                "to replicate"
+            )
+        source = source.durable
+    if isinstance(source, DurableDatabase):
+        source = PrimaryStream(source)
+    if not isinstance(source, ReplicationStream):
+        raise ValueError(
+            "replica_of must be a Replica, ReplicationStream, "
+            f"DurableDatabase or durable Session, got "
+            f"{type(source).__name__}"
+        )
+    kwargs = {"max_lag": max_lag, "on_stale": on_stale}
+    if retry is not None:
+        kwargs["retry"] = retry
+    return Replica(source, **kwargs)
 
 
 class Session:
@@ -97,23 +308,6 @@ class Session:
         cluster=None,
         isolation: str = "serial",
     ) -> None:
-        if isolation not in ("serial", "si", "ssi"):
-            raise ValueError(
-                f"isolation must be 'serial', 'si' or 'ssi', got "
-                f"{isolation!r}"
-            )
-        if isolation != "serial" and (
-            durable_dir is not None
-            or replica_of is not None
-            or shards is not None
-            or cluster is not None
-        ):
-            raise ValueError(
-                "isolation='si'/'ssi' (multi-writer MVCC) applies to "
-                "plain in-memory sessions; durable, replica, sharded "
-                "and cluster sessions serialize writes through their "
-                "WAL/coordinator commit path (isolation='serial')"
-            )
         if history_limit is not None and history_limit < 1:
             raise ValueError(
                 f"history_limit must be ≥ 1 (the current database is "
@@ -125,91 +319,22 @@ class Session:
                 f"plan_cache_capacity must be ≥ 0, got "
                 f"{plan_cache_capacity}"
             )
-        if cluster is not None:
-            if shards is not None:
-                raise ValueError(
-                    "cluster=ClusterConfig(...) already names the shard "
-                    "count (ClusterConfig(shards=N)); drop the legacy "
-                    "shards= kwarg"
-                )
-            if replica_of is not None:
-                raise ValueError(
-                    "cluster=ClusterConfig(...) manages its own replica "
-                    "sets (ClusterConfig(replicas_per_shard=K)); drop "
-                    "the legacy replica_of= kwarg"
-                )
-            if durable_dir is not None:
-                raise ValueError(
-                    "cluster sessions place each shard primary under "
-                    "the cluster's own directory; pass "
-                    "Cluster(config, directory=...) and hand the "
-                    "Cluster to cluster= instead of durable_dir="
-                )
-        if durable_dir is not None and replica_of is not None:
-            raise ValueError(
-                "a session is a primary (durable_dir=...) or a replica "
-                "(replica_of=...), not both"
-            )
-        if shards is not None and replica_of is not None:
-            raise ValueError(
-                "a session is sharded (shards=N) or a replica "
-                "(replica_of=...), not both; to stack the two, compose "
-                "them with cluster=ClusterConfig(shards=N, "
-                "replicas_per_shard=K)"
-            )
-        self._durable = None
-        self._replica = None
-        self._sharded = None
-        self._cluster = None
-        if cluster is not None:
-            from repro.cluster import Cluster, ClusterConfig
-
-            if isinstance(cluster, Cluster):
-                self._cluster = cluster
-            elif isinstance(cluster, ClusterConfig):
-                self._cluster = Cluster(cluster)
-            else:
-                raise ValueError(
-                    "cluster= must be a ClusterConfig (the usual form) "
-                    f"or a prebuilt Cluster, got "
-                    f"{type(cluster).__name__}"
-                )
-            self._database: Database = EMPTY_DATABASE
-        elif shards is not None:
-            from repro.sharding import ShardedDatabase
-
-            self._sharded = ShardedDatabase(
-                shards,
-                directory=durable_dir,
-                partitioner=partitioner,
-                fsync=fsync,
-                checkpoint_every=checkpoint_every,
-            )
-            self._database: Database = EMPTY_DATABASE
-        elif replica_of is not None:
-            self._replica = self._build_replica(
-                replica_of, retry=retry, max_lag=max_lag, on_stale=on_stale
-            )
-            self._replica.catch_up()
-            self._database: Database = self._replica.database
-        elif durable_dir is not None:
-            from repro.durability import DurableDatabase
-
-            self._durable = DurableDatabase(
-                durable_dir,
-                fsync=fsync,
-                checkpoint_every=checkpoint_every,
-            )
-            self._database = self._durable.database
-        else:
-            self._database = EMPTY_DATABASE
+        self._kind, self._backing = _open_backing(
+            durable_dir, fsync=fsync, checkpoint_every=checkpoint_every,
+            replica_of=replica_of, max_lag=max_lag, on_stale=on_stale,
+            retry=retry, shards=shards, partitioner=partitioner,
+            cluster=cluster, isolation=isolation,
+        )
+        # plain and durable backings hand compiled plans their value;
+        # the others evaluate reads themselves
+        self._routes_reads = self._kind in ("replica", "sharded", "cluster")
+        # coordinators assemble the global value on demand: no trail
+        self._history: "list[Database] | None" = (
+            None
+            if self._kind in ("sharded", "cluster")
+            else [self._backing.database]
+        )
         self._isolation = isolation
-        self._manager = None
-        if isolation != "serial":
-            from repro.concurrency.mvcc import MVCCManager
-
-            self._manager = MVCCManager(self._database, isolation)
-        self._history: list[Database] = [self._database]
         self._history_limit = history_limit
         self._plan_cache: "OrderedDict[str, _CachedPlan]" = OrderedDict()
         self._plan_cache_capacity = plan_cache_capacity
@@ -218,43 +343,18 @@ class Session:
         self._plan_cache_evictions = 0
         self._optimize = optimize
 
-    @staticmethod
-    def _build_replica(source, *, retry, max_lag, on_stale):
-        """Accept a Replica, a ReplicationStream, a DurableDatabase, or
-        another (durable) Session as the thing to follow."""
-        from repro.durability import DurableDatabase
-        from repro.replication import PrimaryStream, Replica
-        from repro.replication.stream import ReplicationStream
+    def _backing_op(self, name: str, error: type, requirement: str):
+        """The backing's ``name`` operation, or ``error`` if it has none."""
+        operation = getattr(self._backing, name, None)
+        if operation is None:
+            raise error(f"{name}(): this session is not {requirement}")
+        return operation
 
-        if isinstance(source, Replica):
-            return source
-        if isinstance(source, Session):
-            if source.durable is None:
-                raise ValueError(
-                    "replica_of: the source session is purely "
-                    "in-memory; only durable sessions publish a WAL "
-                    "to replicate"
-                )
-            source = source.durable
-        if isinstance(source, DurableDatabase):
-            source = PrimaryStream(source)
-        if not isinstance(source, ReplicationStream):
-            raise ValueError(
-                "replica_of must be a Replica, ReplicationStream, "
-                f"DurableDatabase or durable Session, got "
-                f"{type(source).__name__}"
-            )
-        kwargs = {"max_lag": max_lag, "on_stale": on_stale}
-        if retry is not None:
-            kwargs["retry"] = retry
-        return Replica(source, **kwargs)
-
-    @property
-    def _coordinator(self):
-        """The sharded or cluster coordinator, when this session has
-        one — the two expose the same execute/evaluate/as_database
-        surface, so dispatch treats them uniformly."""
-        return self._cluster if self._cluster is not None else self._sharded
+    def _if_supported(self, name: str, default=None):
+        """Run the backing's ``name`` operation if it has one (a plain
+        session has no log to sync, a primary nothing to catch up)."""
+        operation = getattr(self._backing, name, None)
+        return default if operation is None else operation()
 
     @property
     def database(self) -> Database:
@@ -264,12 +364,7 @@ class Session:
         the shard set on each access (an O(identifiers) walk, not a
         hot-path cost); reads and writes themselves never materialize
         it."""
-        coordinator = self._coordinator
-        if coordinator is not None:
-            self._database = coordinator.as_database()
-        elif self._replica is not None:
-            self._database = self._replica.database
-        return self._database
+        return self._backing.database
 
     @property
     def history(self) -> tuple[Database, ...]:
@@ -280,7 +375,7 @@ class Session:
         value, the pre-bound behaviour).  Sharded and cluster sessions
         do not retain a trail (the global value is assembled on
         demand): the tuple holds just the current database."""
-        if self._coordinator is not None:
+        if self._history is None:
             return (self.database,)
         return tuple(self._history)
 
@@ -292,10 +387,24 @@ class Session:
     @property
     def transaction_number(self) -> int:
         """The current database's transaction number."""
-        coordinator = self._coordinator
-        if coordinator is not None:
-            return coordinator.transaction_number
-        return self.database.transaction_number
+        return self._backing.transaction_number
+
+    @property
+    def routes_reads(self) -> bool:
+        """True when reads evaluate through the backing (a replica's
+        staleness bound, scatter-gather over shards) rather than as
+        compiled plans against a database value."""
+        return self._routes_reads
+
+    def reanchor(self, database: Database, *, record: bool = True) -> None:
+        """Make ``database`` the current value of a plain in-memory
+        session (the REPL's ``.load``; a server view before each read,
+        with ``record=False`` so the :attr:`history` trail is untouched).
+        Raises :class:`StorageError` when a WAL, replica or coordinator
+        owns the value, :class:`ConcurrencyError` when a manager does."""
+        self._backing_op("reanchor", StorageError, _IN_MEMORY)(database)
+        if record:
+            self._record(database)
 
     # -- execution -----------------------------------------------------------
 
@@ -333,42 +442,24 @@ class Session:
                     self._apply(command)
             else:
                 self._apply(item)
-        if self._durable is not None:
-            self._durable.sync()
-        if self._coordinator is not None:
-            self._coordinator.sync()
+        self._if_supported("sync")
         return self.database
 
-    def _apply(self, command: Command) -> "Database | None":
-        if self._replica is not None:
-            from repro.errors import ReplicationError
-
-            raise ReplicationError(
-                "this session is a read-only replica "
-                "(replica_of=...): commands belong on the primary; "
-                "promote() turns it into a writable primary"
-            )
+    def _apply(self, command: Command) -> None:
         if _obsv.enabled():
             _obsv.get().counter("lang.statements_executed").inc()
-        if self._coordinator is not None:
-            # the coordinator owns the authoritative state; the global
-            # Database value is assembled on demand, never per command
-            self._coordinator.execute(command)
-            return None
-        if self._durable is not None:
-            self._record_history(self._durable.execute(command))
-        elif self._manager is not None:
-            # once the session has a transaction manager (always, for
-            # si/ssi; after the first begin()/run(), for serial), direct
-            # executes autocommit through it so scripted and
-            # transactional writes share one commit path and one
-            # authoritative database value
-            self._record_history(
-                self._manager.run(lambda txn: txn.stage(command))
-            )
-        else:
-            self._record_history(command.execute(self._database))
-        return self._database
+        # value backings return the new database; coordinators, which
+        # keep no trail, return the global transaction number
+        result = self._backing.execute(command)
+        if self._history is not None:
+            self._record(result)
+
+    def _record(self, database: Database) -> None:
+        history = self._history
+        history.append(database)
+        limit = self._history_limit
+        if limit is not None and len(history) > limit:
+            del history[: len(history) - limit]
 
     # -- transactions --------------------------------------------------------
 
@@ -390,24 +481,15 @@ class Session:
         have no client-visible manager (their execute path *is* the
         serialized commit path): raises :class:`ConcurrencyError`.
         """
-        if self._manager is None:
-            if (
-                self._durable is not None
-                or self._replica is not None
-                or self._coordinator is not None
-            ):
-                from repro.errors import ConcurrencyError
-
-                raise ConcurrencyError(
-                    "this session's backing serializes writes through "
-                    "its WAL/coordinator commit path and has no "
-                    "client-visible transaction manager; use a plain "
-                    "Session(isolation=...) for explicit transactions"
-                )
-            from repro.concurrency.manager import TransactionManager
-
-            self._manager = TransactionManager(self._database)
-        return self._manager
+        manager = getattr(self._backing, "manager", None)
+        if manager is None:
+            raise ConcurrencyError(
+                "this session's backing serializes writes through "
+                "its WAL/coordinator commit path and has no "
+                "client-visible transaction manager; use a plain "
+                "Session(isolation=...) for explicit transactions"
+            )
+        return manager
 
     def begin(self):
         """Start an explicit transaction against the session's manager
@@ -420,7 +502,7 @@ class Session:
         :class:`~repro.errors.ConcurrencyError` (and aborts the
         transaction) when conflict detection rejects it."""
         database = self.transaction_manager.commit(transaction)
-        self._record_history(database)
+        self._record(database)
         return database
 
     def abort(self, transaction) -> None:
@@ -431,7 +513,7 @@ class Session:
         """Run ``body(transaction)`` under the session's isolation
         level, retrying on conflict up to ``retries`` times."""
         database = self.transaction_manager.run(body, retries)
-        self._record_history(database)
+        self._record(database)
         return database
 
     # -- durability ----------------------------------------------------------
@@ -440,25 +522,17 @@ class Session:
     def durable(self):
         """The session's :class:`~repro.durability.DurableDatabase`,
         or None for a purely in-memory session."""
-        return self._durable
+        return self._backing if self._kind == "durable" else None
 
     def checkpoint(self) -> None:
         """Force a checkpoint + log compaction (durable, sharded and
         cluster sessions checkpoint every shard)."""
-        if self._durable is not None:
-            self._durable.checkpoint()
-        if self._coordinator is not None:
-            self._coordinator.checkpoint()
+        self._if_supported("checkpoint")
 
     def close(self) -> None:
         """Flush the command log and release file handles.  In-memory
         sessions: a no-op."""
-        if self._replica is not None:
-            self._replica.close()
-        if self._durable is not None:
-            self._durable.close()
-        if self._coordinator is not None:
-            self._coordinator.close()
+        self._if_supported("close")
 
     def __enter__(self) -> "Session":
         return self
@@ -472,32 +546,20 @@ class Session:
     def sharded(self):
         """The session's :class:`~repro.sharding.ShardedDatabase`, or
         None for unsharded sessions."""
-        return self._sharded
+        return self._backing if self._kind == "sharded" else None
 
     def rebalance(self, partitioner=None):
         """Sharded/cluster sessions: move identifiers to their
         partitioner-preferred shards; returns the
         :class:`~repro.sharding.RebalanceReport`."""
-        if self._coordinator is None:
-            from repro.errors import ShardingError
-
-            raise ShardingError(
-                "rebalance(): this session is not sharded (shards=N "
-                "or cluster=ClusterConfig(...))"
-            )
-        return self._coordinator.rebalance(partitioner)
+        return self._backing_op("rebalance", ShardingError, _SHARDED)(
+            partitioner
+        )
 
     def add_shard(self) -> int:
         """Sharded/cluster sessions: open one more shard and return its
         index."""
-        if self._coordinator is None:
-            from repro.errors import ShardingError
-
-            raise ShardingError(
-                "add_shard(): this session is not sharded (shards=N "
-                "or cluster=ClusterConfig(...))"
-            )
-        return self._coordinator.add_shard()
+        return self._backing_op("add_shard", ShardingError, _SHARDED)()
 
     # -- clustering ----------------------------------------------------------
 
@@ -505,32 +567,22 @@ class Session:
     def cluster(self):
         """The session's :class:`~repro.cluster.Cluster`, or None for
         non-cluster sessions."""
-        return self._cluster
+        return self._backing if self._kind == "cluster" else None
 
     def failover(self, shard: int, replica_index=None) -> None:
         """Cluster sessions: promote one of shard ``shard``'s replicas
         to be that shard's primary (see
         :meth:`repro.cluster.Cluster.failover`)."""
-        if self._cluster is None:
-            from repro.errors import ClusterError
-
-            raise ClusterError(
-                "failover(): this session is not clustered "
-                "(cluster=ClusterConfig(...))"
-            )
-        self._cluster.failover(shard, replica_index)
+        self._backing_op("failover", ClusterError, _CLUSTERED)(
+            shard, replica_index
+        )
 
     def add_replica(self, shard: int):
         """Cluster sessions: attach one more replica to shard
         ``shard``'s stream and return it."""
-        if self._cluster is None:
-            from repro.errors import ClusterError
-
-            raise ClusterError(
-                "add_replica(): this session is not clustered "
-                "(cluster=ClusterConfig(...))"
-            )
-        return self._cluster.add_replica(shard)
+        return self._backing_op("add_replica", ClusterError, _CLUSTERED)(
+            shard
+        )
 
     # -- replication ---------------------------------------------------------
 
@@ -538,49 +590,32 @@ class Session:
     def replica(self):
         """The session's :class:`~repro.replication.Replica`, or None
         for primary/in-memory sessions."""
-        return self._replica
+        return self._backing if self._kind == "replica" else None
 
     def catch_up(self) -> int:
         """Replica sessions: apply shipped records up to the primary's
         published tail, returning how many were applied.  Cluster
         sessions: drive every replica in the topology to its primary's
         tail.  Primary and in-memory sessions: a no-op returning 0."""
-        if self._cluster is not None:
-            return self._cluster.catch_up()
-        if self._replica is None:
-            return 0
-        applied = self._replica.catch_up()
-        if applied:
-            self._record_history(self._replica.database)
+        applied = self._if_supported("catch_up", 0)
+        if applied and self._history is not None:
+            self._record(self._backing.database)
         return applied
 
     def lag(self) -> int:
         """How many shipped records behind the primary this replica
         session is (0 for primary/in-memory sessions)."""
-        return 0 if self._replica is None else self._replica.lag()
+        return self._if_supported("lag", 0)
 
     def promote(self) -> Database:
         """Fail over: turn a replica session into a writable primary
         anchored at its last applied record.  Returns the database the
         new primary starts from."""
-        if self._replica is None:
-            from repro.errors import ReplicationError
-
-            raise ReplicationError(
-                "promote(): this session is not a replica"
-            )
-        self._durable = self._replica.promote()
-        self._replica = None
-        self._database = self._durable.database
-        self._record_history(self._database)
-        return self._database
-
-    def _record_history(self, database: Database) -> None:
-        self._database = database
-        self._history.append(database)
-        limit = self._history_limit
-        if limit is not None and len(self._history) > limit:
-            del self._history[: len(self._history) - limit]
+        durable = self._backing_op("promote", ReplicationError, "a replica")()
+        self._kind, self._backing = "durable", durable
+        self._routes_reads = False
+        self._record(durable.database)
+        return durable.database
 
     # -- queries ---------------------------------------------------------------
 
@@ -600,35 +635,23 @@ class Session:
             _obsv.get().counter("lang.queries").inc()
         if isinstance(source, str):
             return self._evaluate_plan(self._cached_expression(source))
-        return self._evaluate(source)
-
-    def _evaluate(self, expression: Expression) -> State:
-        """Evaluate a side-effect-free expression; replica sessions
-        route through the replica so its staleness bound applies,
-        sharded/cluster sessions through their scatter-gather routers
-        (cluster reads land on replicas)."""
-        coordinator = self._coordinator
-        if coordinator is not None:
-            return coordinator.evaluate(expression)
-        if self._replica is not None:
-            return self._replica.evaluate(expression)
-        return expression.evaluate(self._database)
+        return self._backing.evaluate(source)
 
     def _evaluate_plan(self, plan: _CachedPlan) -> State:
         """Evaluate a cached plan, (re)optimizing and (re)compiling if
         the database has moved since it was last planned."""
         expression = self._planned_expression(plan)
-        if self._coordinator is not None or self._replica is not None:
-            # these modes evaluate through their own routers (scatter-
-            # gather, staleness bounds); they reuse the optimized tree
-            # but not the compiled single-database plan
-            return self._evaluate(expression)
+        if self._routes_reads:
+            # replica, sharded and cluster backings evaluate through
+            # their own routers (staleness bound, scatter-gather); they
+            # reuse the optimized tree but not the compiled plan
+            return self._backing.evaluate(expression)
         if (
             plan.compiled is None
             or plan.compiled.expression is not expression
         ):
             plan.compiled = compile_expression(expression)
-        return plan.compiled(self._database)
+        return plan.compiled(self._backing.database)
 
     def _planned_expression(self, plan: _CachedPlan) -> Expression:
         """The plan's optimized tree for the current transaction number.
@@ -695,10 +718,6 @@ class Session:
     def statistics(self) -> Statistics:
         """Per-relation cardinality and version statistics collected
         from whatever is serving this session's reads."""
-        if self._durable is not None:
-            versioned = getattr(self._durable, "versioned", None)
-            if versioned is not None:
-                return collect_statistics(versioned)
         return collect_statistics(self.database)
 
     def explain(self, source: TypingUnion[str, Expression]) -> str:
@@ -738,7 +757,7 @@ class Session:
 
     def current_state(self, identifier: str) -> State:
         """The named relation's most recent state, via ``ρ(I, now)``."""
-        return self._evaluate(Rollback(identifier, NOW))
+        return self._backing.evaluate(Rollback(identifier, NOW))
 
     # -- Quel integration ---------------------------------------------------------
 
@@ -783,8 +802,7 @@ class Session:
             # (append ... valid / terminate ... at)
             temporal = parse_temporal_statement(source)
             command = TemporalQuelTranslator(catalog).translate(temporal)
-            self._apply(command)
-            return self.database
+            return self.execute_command(command)
 
         if isinstance(statement, Retrieve):
             if _obsv.enabled():
@@ -792,7 +810,7 @@ class Session:
             expression = QuelTranslator(catalog).translate_retrieve(
                 statement
             )
-            return self._evaluate(expression)
+            return self._backing.evaluate(expression)
 
         # dispatch updates on the target relation's kind
         relation = self.database.lookup(statement.relation)
@@ -805,23 +823,21 @@ class Session:
                 command = TemporalQuelTranslator(catalog).translate(
                     TemporalDelete(statement.relation, statement.where)
                 )
-                self._apply(command)
-                return self.database
+                return self.execute_command(command)
             raise TranslationError(
                 f"relation {statement.relation!r} stores valid time; "
                 "use 'append ... valid <periods>' or "
                 "'terminate ... at <chronon>'"
             )
         command = QuelTranslator(catalog).translate(statement)
-        self._apply(command)
-        return self.database
+        return self.execute_command(command)
 
     def display(self, identifier: str, numeral=NOW) -> str:
         """Render the named relation's state at the given transaction time
         as an aligned text table."""
         from repro.core.expressions import is_empty_set
 
-        state = self._evaluate(Rollback(identifier, numeral))
+        state = self._backing.evaluate(Rollback(identifier, numeral))
         if is_empty_set(state):
             return f"{identifier}\n(no recorded state)"
         return format_state(state, title=identifier)

@@ -51,6 +51,7 @@ from repro.errors import (
     StorageError,
     StreamGapError,
 )
+from repro.core.commands import Command
 from repro.core.database import Database
 from repro.core.expressions import Expression
 from repro.core.txn import TransactionNumber
@@ -339,6 +340,14 @@ class Replica:
         self._diverged = False
 
     # -- read path ---------------------------------------------------------
+
+    def execute(self, command: Command):
+        """Refuse: a replica applies only what its primary ships."""
+        raise ReplicationError(
+            "this session is a read-only replica "
+            "(replica_of=...): commands belong on the primary; "
+            "promote() turns it into a writable primary"
+        )
 
     def evaluate(self, expression: Expression):
         """Evaluate a side-effect-free expression against the replica

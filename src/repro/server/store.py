@@ -1,32 +1,33 @@
 """The server's shared backing database and per-connection views.
 
-One process serves one database.  The :class:`ServerStore` owns it, in
-any of the five composable backings the in-process :class:`Session`
-already supports — plain in-memory, ``durable_dir`` (WAL + checkpoints),
-``shards=N`` (coordinator over N durable shard stores), ``replica_of``
-(read-only follower), or ``cluster=ClusterConfig(...)`` (sharded
-primaries × replica sets with per-shard failover) — so the network
-front-end adds a wire, not a sixth storage engine.
+One process serves one database.  The :class:`ServerStore` owns it
+through one authoritative :class:`Session`, in any of its five backings
+— plain in-memory, ``durable_dir`` (WAL + checkpoints), ``shards=N``
+(coordinator over N durable shard stores), ``replica_of`` (read-only
+follower), or ``cluster=ClusterConfig(...)`` (sharded primaries ×
+replica sets with per-shard failover) — so the network front-end adds a
+wire, not a sixth storage engine.  The session chose the backing once;
+the store asks it instead of re-deriving the kind.
 
-**Writes** are serialized.  On the plain backing they run through the
-existing :class:`~repro.concurrency.manager.TransactionManager` path
-(``run`` stages the sentence's commands and commits atomically, and its
-abort-on-raise discipline guarantees a failing sentence never leaks an
-ACTIVE transaction — the same fix PR 1 made in-process, now load-bearing
-at the network boundary).  Durable, sharded and replica backings write
-through the authoritative session, whose execute path is already the
-serialized WAL/coordinator commit path.  Either way the asyncio server
-executes at most one write at a time, so the two paths agree with the
-sequential-sentence semantics the paper mandates.
+**Writes** are serialized.  On the plain backing a sentence runs through
+the session's transaction manager (``Session.run`` stages its commands
+and commits atomically, and its abort-on-raise discipline guarantees a
+failing sentence never leaks an ACTIVE transaction); the session stays
+the value's only owner.  The other backings write through the session's
+execute path, which is already the serialized WAL/coordinator commit
+path.  Either way the asyncio server executes at most one write at a
+time, so the two paths agree with the sequential-sentence semantics the
+paper mandates.
 
-**Reads** never touch the write path.  Each connection gets its own
-:class:`SessionView` — a private plain :class:`Session` re-anchored at
-the store's current immutable database value per request — so every
-connection carries its *own* plan cache (parse once, optimize once,
-compile once per query text) while all views share the process-wide
-versioned state cache.  Sharded and replica backings route reads through
-the authoritative session instead (scatter-gather and bounded-staleness
-logic live there).
+**Reads** never touch the write path.  Where the session runs compiled
+plans against a value (plain, durable), each connection's
+:class:`SessionView` is a private plain :class:`Session` re-anchored at
+the store's current immutable database value per request — its *own*
+plan cache (parse, optimize and compile once per query text) over the
+process-wide versioned state cache.  Where the session routes reads
+through its backing (replica, sharded, cluster), views read through the
+authoritative session, which owns the staleness bound and the
+scatter-gather routers.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.database import Database
-from repro.errors import ReproError
+from repro.errors import ConcurrencyError, ReproError
 from repro.lang.parser import parse_sentence
 from repro.lang.session import Session, format_state
 
@@ -66,23 +67,6 @@ class ServerStore:
         cluster=None,
         isolation: str = "serial",
     ) -> None:
-        plain = (
-            durable_dir is None
-            and shards is None
-            and replica_of is None
-            and cluster is None
-        )
-        if isolation not in ("serial", "si", "ssi"):
-            raise ValueError(
-                f"isolation must be 'serial', 'si' or 'ssi', got "
-                f"{isolation!r}"
-            )
-        if isolation != "serial" and not plain:
-            raise ValueError(
-                "isolation='si'/'ssi' applies to the plain in-memory "
-                "backing; durable/sharded/replica/cluster backings "
-                "serialize writes through their own commit path"
-            )
         self._session = Session(
             durable_dir,
             fsync=fsync,
@@ -90,26 +74,13 @@ class ServerStore:
             shards=shards,
             replica_of=replica_of,
             cluster=cluster,
+            isolation=isolation,
         )
-        self._shared_reads = (
-            shards is not None
-            or replica_of is not None
-            or cluster is not None
-        )
-        self._replica = replica_of is not None
-        self._isolation = isolation
-        self._manager = None
-        if plain:
-            if isolation == "serial":
-                from repro.concurrency.manager import TransactionManager
-
-                self._manager = TransactionManager(self._session.database)
-            else:
-                from repro.concurrency.mvcc import MVCCManager
-
-                self._manager = MVCCManager(
-                    self._session.database, isolation
-                )
+        try:
+            self._manager = self._session.transaction_manager
+        except ConcurrencyError:
+            # the WAL or the coordinator is the commit path
+            self._manager = None
 
     # -- state ---------------------------------------------------------------
 
@@ -120,17 +91,17 @@ class ServerStore:
 
     @property
     def manager(self):
-        """The plain backing's transaction manager — a serial
+        """The session's transaction manager — a serial
         :class:`TransactionManager` or, under ``isolation='si'/'ssi'``,
         an :class:`~repro.concurrency.mvcc.MVCCManager` (None for
-        durable/sharded/replica backings, whose own execute path is the
-        serialized commit path)."""
+        durable/sharded/replica/cluster backings, whose own execute path
+        is the serialized commit path)."""
         return self._manager
 
     @property
     def isolation(self) -> str:
         """The write path's isolation level."""
-        return self._isolation
+        return self._session.isolation
 
     @property
     def transaction_number(self) -> int:
@@ -172,19 +143,16 @@ class ServerStore:
         """Execute one sentence; returns the resulting transaction
         number.  Raises (without partial effect on the plain backing)
         when the sentence is invalid."""
-        if self._manager is not None:
-            commands = parse_sentence(source)
+        if self._manager is None:
+            self._session.execute(source)
+            return self._session.transaction_number
+        commands = parse_sentence(source)
 
-            def body(txn) -> None:
-                for command in commands:
-                    txn.stage(command)
+        def body(txn) -> None:
+            for command in commands:
+                txn.stage(command)
 
-            database = self._manager.run(body)
-            # keep the authoritative session's trail in step
-            self._session._record_history(database)
-            return database.transaction_number
-        self._session.execute(source)
-        return self._session.transaction_number
+        return self._session.run(body).transaction_number
 
     # -- reads ---------------------------------------------------------------
 
@@ -195,9 +163,9 @@ class ServerStore:
     def catch_up(self) -> int:
         """Replica backing: apply shipped records before a read (the
         serve-fresh policy); other backings: no-op."""
-        if self._replica:
-            return self._session.catch_up()
-        return 0
+        if self._session.replica is None:
+            return 0
+        return self._session.catch_up()
 
     def close(self) -> None:
         self._session.close()
@@ -207,27 +175,28 @@ class SessionView:
     """One connection's read view: a private plan cache over the shared
     backing.
 
-    Value-backed stores (plain / durable) re-anchor a private plain
-    :class:`Session` at the store's current database value per request —
+    Where the store's session runs compiled plans against a database
+    value (plain / durable), the view re-anchors a private plain
+    :class:`Session` at the store's current value per request —
     concurrent reads then share nothing mutable but the (thread-safe by
-    event-loop serialization) state cache.  Sharded and replica stores
-    delegate to the authoritative session, which owns the scatter-gather
-    router / staleness bound.
+    event-loop serialization) state cache.  Where the session routes
+    reads through its backing (replica / sharded / cluster), the view
+    delegates to it: it owns the staleness bound and the scatter-gather
+    routers.
     """
 
     __slots__ = ("_store", "_session")
 
     def __init__(self, store: ServerStore) -> None:
         self._store = store
-        self._session = None if store._shared_reads else Session()
+        self._session = None if store.session.routes_reads else Session()
 
     def _reader(self) -> Session:
         if self._session is None:
             self._store.catch_up()
             return self._store.session
-        # re-anchor the private session at the current shared value;
         # Session re-plans cached queries when the txn number moves
-        self._session._database = self._store.current_database()
+        self._session.reanchor(self._store.current_database(), record=False)
         return self._session
 
     def query(self, source: str) -> str:

@@ -716,6 +716,9 @@ class ShardedDatabase:
             )
         return Database(state, self._txn)
 
+    #: The global value, assembled on each access.
+    database = property(as_database)
+
     # -- rebalancing ------------------------------------------------------
 
     def add_shard(self, store: Optional[FileStore] = None) -> int:

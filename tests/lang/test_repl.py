@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.lang.repl import Repl, run_repl
+from repro.lang.session import Session
 
 
 def drive(lines):
@@ -116,6 +117,19 @@ class TestMeta:
         assert "loaded" in output2
         assert "5" in output2
         assert repl2.session.transaction_number == 2
+
+    def test_load_honours_history_limit(self, tmp_path):
+        path = tmp_path / "db.json"
+        drive(["define_relation(r, rollback);", f".save {path}"])
+        out = io.StringIO()
+        repl = Repl(out)
+        repl.session = Session(history_limit=2)
+        for _ in range(5):
+            repl.feed(f".load {path}")
+        assert out.getvalue().count("loaded") == 5
+        assert len(repl.session.history) == 2
+        assert repl.session.history[-1] == repl.session.database
+        assert repl.session.transaction_number == 1
 
     def test_save_without_path(self):
         output, _ = drive([".save"])

@@ -289,3 +289,68 @@ class TestExecuteMany:
         assert reopened.transaction_number == 3
         assert len(reopened.current_state("faculty")) == 2
         reopened.close()
+
+
+class TestBackingKwargs:
+    """A kwarg that tunes a backing the session does not have is an
+    error, not a silent no-op."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_lag": 5},
+            {"on_stale": "serve"},
+            {"retry": object()},
+            {"shards": 2, "max_lag": 0},
+        ],
+    )
+    def test_replica_tuning_needs_replica_of(self, kwargs):
+        with pytest.raises(ValueError, match="need replica_of="):
+            Session(**kwargs)
+
+    def test_partitioner_needs_shards(self):
+        from repro.sharding import HashPartitioner
+
+        with pytest.raises(ValueError, match="needs shards=N"):
+            Session(partitioner=HashPartitioner())
+
+    def test_matching_kwargs_still_compose(self):
+        from repro.sharding import HashPartitioner
+
+        partitioner = HashPartitioner(salt=7)
+        with Session(shards=2, partitioner=partitioner) as session:
+            session.execute("define_relation(r, rollback)")
+            assert session.sharded.partitioner is partitioner
+        assert Session(on_stale="reject").transaction_number == 0
+
+
+class TestReanchor:
+    def test_replaces_the_value_and_records_it(self):
+        source = Session()
+        source.execute(PROGRAM)
+        session = Session()
+        session.reanchor(source.database)
+        assert session.database is source.database
+        assert session.history == (EMPTY_DATABASE, source.database)
+        assert session.query("rollback(faculty, now)") == source.query(
+            "rollback(faculty, now)"
+        )
+
+    def test_without_record_the_trail_is_untouched(self):
+        source = Session()
+        source.execute(PROGRAM)
+        session = Session()
+        for database in source.history:
+            session.reanchor(database, record=False)
+        assert session.database is source.database
+        assert session.history == (EMPTY_DATABASE,)
+
+    def test_refused_where_the_value_has_another_owner(self, tmp_path):
+        from repro.errors import ConcurrencyError, StorageError
+
+        with Session(str(tmp_path / "db")) as durable:
+            with pytest.raises(StorageError, match=r"^reanchor\(\)"):
+                durable.reanchor(EMPTY_DATABASE)
+        managed = Session(isolation="si")
+        with pytest.raises(ConcurrencyError, match=r"^reanchor\(\)"):
+            managed.reanchor(EMPTY_DATABASE)

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from benchmarks.check_bench import check, main
+from benchmarks.check_bench import check, committed_names, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -113,13 +113,26 @@ class TestMain:
         assert main([str(base)]) == 2
         assert main([str(base), str(new), "--tolerance"]) == 2
 
+    def test_no_names_checks_every_committed_sidecar(self, tmp_path, capsys):
+        base, new = tmp_path / "base", tmp_path / "new"
+        base.mkdir()
+        new.mkdir()
+        for name in ("a", "e12", "zz"):
+            write(base, name, {"s": speedup(2.0)})
+            write(new, name, {"s": speedup(2.0)})
+        write(new, "stray", {"s": speedup(0.1)})  # not committed: ignored
+        assert committed_names(str(base)) == ["a", "e12", "zz"]
+        assert main([str(base), str(new)]) == 0
+        assert "all 3 bench sidecars" in capsys.readouterr().out
+        write(new, "zz", {"s": speedup(1.0)})
+        assert main([str(base), str(new)]) == 1
+        assert "zz.s" in capsys.readouterr().out
+
 
 def test_every_committed_sidecar_is_checkable():
     """Each committed ``BENCH_*.json`` passes against itself: no unknown
     kind and no ratio without a ceiling has been committed."""
-    names = sorted(
-        os.path.basename(path)[len("BENCH_"):-len(".json")]
-        for path in glob.glob(os.path.join(REPO, "BENCH_*.json"))
-    )
+    names = committed_names(REPO)
+    assert len(names) == len(glob.glob(os.path.join(REPO, "BENCH_*.json")))
     assert "e12" in names
     assert check(REPO, REPO, names) == []
