@@ -4,7 +4,10 @@ The read path introduced in this arc stacks three amortizations on the
 repeated-query workload (the production shape: the same query text
 issued over and over against a session):
 
-* **plan cache** — parse once per normalized query text;
+* **plan cache** — parse, optimize and compile once per query *shape*
+  (the text with its rollback numerals and comparison literals lifted
+  into parameters), so an audit reading one query at many past
+  transactions plans it once;
 * **cost-guided rewrite** — keep a rule application only when
   ``estimate_cost`` under collected statistics drops, so σ/π sink
   toward the ρ leaves and products shrink before they materialize;
@@ -26,6 +29,41 @@ from __future__ import annotations
 from benchmarks.bench_e2_expression_eval import compiled_dag_comparison
 from benchmarks.bench_e4_optimizer import compiled_join_comparison
 from benchmarks.bench_e13_read_cache import compiled_session_comparison
+
+
+#: Reads of one shape in :func:`distinct_literal_plans`, each at its own
+#: rollback numeral.
+DISTINCT_LITERAL_READS = 500
+
+
+def distinct_literal_plans(reads: int = DISTINCT_LITERAL_READS):
+    """``(plans optimized, reads)`` for one query shape read at
+    ``reads`` distinct rollback numerals — every text distinct — as the
+    ``optimizer.plans_optimized`` counter records them."""
+    from benchmarks.bench_e13_read_cache import _session_program
+    from repro.lang.session import Session
+    from repro.obsv import registry as obsv_registry
+    from repro.obsv.registry import MetricsRegistry
+
+    session = Session()
+    session.execute(_session_program())
+    registry = obsv_registry.enable(MetricsRegistry())
+    try:
+        for numeral in range(1, reads + 1):
+            session.query(
+                f"project [key] (select [a1 > 50] (rollback(r, {numeral})))"
+            )
+        counters = registry.snapshot()["counters"]
+    finally:
+        obsv_registry.disable()
+    return counters.get("optimizer.plans_optimized", 0), reads
+
+
+#: The same count at the commit before plans were keyed by shape
+#: (689eb2c): every distinct text was parsed, optimized and compiled.
+PARENT_DISTINCT_LITERAL_PLANS = (
+    "before (parent 689eb2c): 500 plans for 500 reads, 1.0"
+)
 
 
 def metrics_snapshot() -> dict:
@@ -83,6 +121,12 @@ def report() -> str:
         f"speedup {adhoc / cached:5.1f}x"
     )
 
+    plans, reads = distinct_literal_plans()
+    lines.append(
+        f"  one shape, {reads} distinct rollback numerals: "
+        f"{plans} plans optimized"
+    )
+
     lines.append("  counters for 10 repeats of the session query:")
     for name, value in metrics_snapshot().items():
         lines.append(f"    {name} = {value}")
@@ -99,6 +143,7 @@ def bench_payload() -> dict:
     plain, compiled, steps, nodes = compiled_dag_comparison()
     naive_s, comp_s, naive_cost, opt_cost = compiled_join_comparison()
     adhoc, cached = compiled_session_comparison()
+    plans, reads = distinct_literal_plans()
     return {
         "experiment": "e16",
         "description": (
@@ -127,6 +172,16 @@ def bench_payload() -> dict:
                 "detail": (
                     f"ad-hoc {adhoc * 1e6:.1f}us vs cached "
                     f"{cached * 1e6:.2f}us per query"
+                ),
+            },
+            "distinct_literal_plans_per_read": {
+                "kind": "ratio",
+                "value": round(plans / reads, 4),
+                "ceiling": 0.05,
+                "detail": (
+                    f"{plans} plans optimized for {reads} reads of one "
+                    f"shape at {reads} distinct rollback numerals; "
+                    f"{PARENT_DISTINCT_LITERAL_PLANS}"
                 ),
             },
         },

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping, Optional
 
 from repro.errors import UnknownRelationError
-from repro.core.relation import Relation
+from repro.core.relation import EMPTY_STATE, Relation
 from repro.core.txn import TransactionNumber
 
 __all__ = ["DatabaseState", "Database", "EMPTY_DATABASE"]
@@ -106,12 +106,26 @@ class Database:
 
     The transaction number identifies "the most recent transaction that
     caused a change to the database" (Section 3.2).
+
+    Each value also carries a *catalog token*, an opaque object that
+    stands for what a query plan may depend on: which relations exist,
+    their types, and the scheme of each one's current state (or that it
+    has none).  :meth:`with_binding` hands the token on, by identity,
+    whenever a write leaves all three as they were — appending or
+    replacing a state of the same scheme — and makes a fresh one
+    otherwise; every other construction makes a fresh one.  Equal tokens
+    therefore imply an equal catalog (not conversely), which is what lets
+    a session keep a plan across writes.  The token takes no part in
+    equality or hashing.
     """
 
-    __slots__ = ("_state", "_txn")
+    __slots__ = ("_state", "_txn", "_catalog_token")
 
     def __init__(
-        self, state: DatabaseState, txn: TransactionNumber
+        self,
+        state: DatabaseState,
+        txn: TransactionNumber,
+        catalog_token: Optional[object] = None,
     ) -> None:
         if txn < 0:
             raise UnknownRelationError(
@@ -119,6 +133,9 @@ class Database:
             )
         self._state = state
         self._txn = txn
+        self._catalog_token = (
+            object() if catalog_token is None else catalog_token
+        )
 
     @property
     def state(self) -> DatabaseState:
@@ -129,6 +146,12 @@ class Database:
     def transaction_number(self) -> TransactionNumber:
         """The transaction-number component ``n``."""
         return self._txn
+
+    @property
+    def catalog_token(self) -> object:
+        """Identical across values whose catalogs are known equal (see
+        the class docstring)."""
+        return self._catalog_token
 
     def lookup(self, identifier: str) -> Optional[Relation]:
         """Convenience: look an identifier up in the state component."""
@@ -142,7 +165,17 @@ class Database:
         self, identifier: str, relation: Relation, txn: TransactionNumber
     ) -> "Database":
         """The database ``(b[relation/identifier], txn)``."""
-        return Database(self._state.bind(identifier, relation), txn)
+        previous = self._state.lookup(identifier)
+        keeps_catalog = (
+            previous is not None
+            and previous.rtype is relation.rtype
+            and _scheme(previous) == _scheme(relation)
+        )
+        return Database(
+            self._state.bind(identifier, relation),
+            txn,
+            self._catalog_token if keeps_catalog else None,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Database):
@@ -154,6 +187,12 @@ class Database:
 
     def __repr__(self) -> str:
         return f"Database({self._state!r}, txn={self._txn})"
+
+
+def _scheme(relation: Relation):
+    """The scheme of the relation's current state, None when it has none."""
+    state = relation.current_state
+    return None if state is EMPTY_STATE else state.schema
 
 
 def _empty_database() -> Database:

@@ -67,8 +67,10 @@ __all__ = [
     "Rename",
     "Derive",
     "Rollback",
+    "Parameter",
     "NODE_HANDLERS",
     "apply_node",
+    "with_children",
     "evaluate",
     "evaluate_memoized",
 ]
@@ -498,6 +500,29 @@ class Derive(Expression):
         )
 
 
+class Parameter:
+    """A placeholder for the ``index``-th literal a cached plan takes as
+    an argument: a rollback numeral or a comparison operand of the query
+    text, lifted out so texts differing only there share one plan.  It
+    stands where the numeral (``ρ(I, ?0)``) or the literal's value
+    (``Literal(?1)``) would; :func:`repro.core.compile.bind` puts the
+    values back before anything is evaluated."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Parameter) and self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash(("Parameter", self.index))
+
+    def __repr__(self) -> str:
+        return f"?{self.index}"
+
+
 class Rollback(Expression):
     """``ρ(I, N)`` / ``ρ̂(I, N)`` — the paper's new operator (Section 3.4).
 
@@ -509,7 +534,8 @@ class Rollback(Expression):
       snapshot relation", Section 3.1).
 
     Rollback is side-effect-free, which is what lets the paper incorporate
-    it into the algebra rather than the command layer.
+    it into the algebra rather than the command layer.  ``N`` may be a
+    :class:`Parameter` in a plan template; binding validates the value.
     """
 
     __slots__ = ("identifier", "numeral", "_hash")
@@ -519,7 +545,7 @@ class Rollback(Expression):
             raise ExpressionError(
                 f"rollback requires a relation identifier, got {identifier!r}"
             )
-        if not is_now(numeral):
+        if not is_now(numeral) and type(numeral) is not Parameter:
             numeral = as_transaction_number(numeral)
         self.identifier = identifier
         self.numeral = numeral
@@ -688,6 +714,28 @@ NODE_HANDLERS = {
     Rename: _apply_rename,
     Derive: _apply_derive,
 }
+
+
+def with_children(
+    node: Expression, children: Sequence[Expression]
+) -> Expression:
+    """A structurally identical node over new children (leaves and
+    unknown node types are returned as they are)."""
+    if isinstance(node, Union):
+        return Union(children[0], children[1])
+    if isinstance(node, Difference):
+        return Difference(children[0], children[1])
+    if isinstance(node, Product):
+        return Product(children[0], children[1])
+    if isinstance(node, Project):
+        return Project(children[0], node.names)
+    if isinstance(node, Select):
+        return Select(children[0], node.predicate)
+    if isinstance(node, Rename):
+        return Rename(children[0], node.mapping)
+    if isinstance(node, Derive):
+        return Derive(children[0], node.predicate, node.expression)
+    return node
 
 
 def apply_node(

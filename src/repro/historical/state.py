@@ -16,7 +16,7 @@ from repro.errors import SchemaError
 from repro.historical.periods import PeriodSet
 from repro.historical.tuples import HistoricalTuple
 from repro.snapshot.schema import Schema
-from repro.snapshot.state import SnapshotState
+from repro.snapshot.state import SnapshotState, format_table
 from repro.snapshot.tuples import SnapshotTuple
 
 __all__ = ["HistoricalState"]
@@ -44,10 +44,17 @@ def _coalesce(
     )
 
 
+def _periods_text(periods: PeriodSet) -> str:
+    return " + ".join(
+        f"[{interval.start}, {interval.end!r})"
+        for interval in periods.intervals
+    )
+
+
 class HistoricalState:
     """An immutable, coalesced set of historical tuples over one schema."""
 
-    __slots__ = ("_schema", "_tuples", "_hash")
+    __slots__ = ("_schema", "_tuples", "_hash", "_table")
 
     def __init__(
         self, schema: Schema, tuples: Iterable[HistoricalTuple] = ()
@@ -55,6 +62,7 @@ class HistoricalState:
         self._schema = schema
         self._tuples = _coalesce(schema, tuples)
         self._hash: int | None = None
+        self._table: str | None = None
 
     @classmethod
     def empty(cls, schema: Schema) -> "HistoricalState":
@@ -93,6 +101,7 @@ class HistoricalState:
         state._schema = schema
         state._tuples = tuples
         state._hash = None
+        state._table = None
         return state
 
     # -- access ------------------------------------------------------------
@@ -115,6 +124,19 @@ class HistoricalState:
 
     def __bool__(self) -> bool:
         return bool(self._tuples)
+
+    def table(self) -> str:
+        """As :meth:`SnapshotState.table`, with a last column ``valid``
+        holding each tuple's period set as ``[start, end) + ...``."""
+        if self._table is None:
+            self._table = format_table(
+                (*self._schema.names, "valid"),
+                [
+                    (*t.value.cells(), _periods_text(t.valid_time))
+                    for t in self._tuples
+                ],
+            )
+        return self._table
 
     def is_empty(self) -> bool:
         """True iff the state contains no tuple."""

@@ -1,11 +1,11 @@
-"""The lexer: source text to a token stream."""
+"""The lexer: source text to a token stream, and a query's shape."""
 
 from __future__ import annotations
 
 from repro.errors import LexError
 from repro.lang.tokens import KEYWORDS, Token, TokenType
 
-__all__ = ["tokenize"]
+__all__ = ["tokenize", "query_shape"]
 
 _SINGLE_CHAR = {
     "(": TokenType.LPAREN,
@@ -98,6 +98,63 @@ def tokenize(source: str) -> list[Token]:
         raise LexError(f"unexpected character {ch!r} at position {i}", i)
     tokens.append(Token(TokenType.EOF, None, n))
     return tokens
+
+
+_COMPARATORS = frozenset(
+    {
+        TokenType.EQ,
+        TokenType.NEQ,
+        TokenType.LT,
+        TokenType.LTE,
+        TokenType.GT,
+        TokenType.GTE,
+    }
+)
+
+
+def query_shape(tokens: list[Token]) -> tuple[tuple, tuple[int, ...]]:
+    """``(key, slots)`` for an expression's tokens.
+
+    ``slots`` are the indices of the literal tokens a cached plan takes
+    as parameters: the numeral of ``rollback(I, N)`` and every literal
+    operand of a comparison.  ``key`` spells every token as its type and
+    value, with those values left out, so texts that differ only in
+    them, in layout or in comments share one key — and texts that differ
+    anywhere else, inside a string constant included, do not.
+
+    The slots follow from the tokens alone: a comparator token can only
+    sit between a comparison's two operands, and ``rollback ( IDENT ,``
+    only opens a rollback, so :func:`repro.lang.parser.parse_expression`
+    meets each slot exactly where it expects a numeral or an operand.
+    """
+    key: list = []
+    slots: list[int] = []
+    for index, token in enumerate(tokens):
+        value = token.value
+        if (
+            token.type is TokenType.INT or token.type is TokenType.STRING
+        ) and _is_parameter(tokens, index):
+            slots.append(index)
+            value = None
+        key.append(token.type)
+        key.append(value)
+    return tuple(key), tuple(slots)
+
+
+def _is_parameter(tokens: list[Token], index: int) -> bool:
+    # a literal is never the last token: EOF follows it
+    if tokens[index + 1].type in _COMPARATORS or (
+        index > 0 and tokens[index - 1].type in _COMPARATORS
+    ):
+        return True
+    return (
+        tokens[index].type is TokenType.INT
+        and index >= 4
+        and tokens[index - 1].type is TokenType.COMMA
+        and tokens[index - 2].type is TokenType.IDENT
+        and tokens[index - 3].type is TokenType.LPAREN
+        and tokens[index - 4].is_keyword("rollback")
+    )
 
 
 def _lex_string(source: str, start: int) -> tuple[str, int]:

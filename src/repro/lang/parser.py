@@ -61,7 +61,7 @@ of an historical constant without an explicit ``@`` default to valid
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.errors import ParseError
 from repro.core.commands import Command, DefineRelation, ModifyState
@@ -70,6 +70,7 @@ from repro.core.expressions import (
     Derive,
     Difference,
     Expression,
+    Parameter,
     Product,
     Project,
     Rename,
@@ -161,11 +162,22 @@ _G_COMPARATORS = {
 
 
 class Parser:
-    """A single-use recursive-descent parser over a token list."""
+    """A single-use recursive-descent parser over a token list.
 
-    def __init__(self, tokens: list[Token]) -> None:
+    ``parameters`` lists indices of literal tokens (rollback numerals
+    and comparison operands, see :func:`repro.lang.lexer.query_shape`)
+    to parse as ``Parameter(0)``, ``Parameter(1)``, ... in that order
+    instead of as their values."""
+
+    def __init__(
+        self, tokens: list[Token], parameters: Sequence[int] = ()
+    ) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._parameters = {
+            position: Parameter(index)
+            for index, position in enumerate(parameters)
+        }
 
     # -- token plumbing ------------------------------------------------------
 
@@ -362,11 +374,12 @@ class Parser:
     def _numeral(self) -> Any:
         """The semantic function **N**: numeral syntax to denotation
         (integer or the ``∞`` symbol, spelled ``now``)."""
+        position = self._pos
         token = self._advance()
         if token.is_keyword("now"):
             return NOW
         if token.type is TokenType.INT:
-            return token.value
+            return self._parameters.get(position, token.value)
         raise ParseError(
             f"expected a transaction numeral but found {token.value!r} "
             f"at position {token.position}",
@@ -541,7 +554,9 @@ class Parser:
         if token.type is TokenType.IDENT:
             self._advance()
             return AttributeRef(token.value)
-        return Literal(self._literal())
+        position = self._pos
+        value = self._literal()
+        return Literal(self._parameters.get(position, value))
 
     # -- temporal expressions (the V domain) ---------------------------------------
 
@@ -664,9 +679,14 @@ def parse_command(source: str) -> Command:
     return command
 
 
-def parse_expression(source: str) -> Expression:
-    """Parse exactly one algebraic expression."""
-    parser = Parser(tokenize(source))
+def parse_expression(
+    source: "str | list[Token]", parameters: Sequence[int] = ()
+) -> Expression:
+    """Parse exactly one algebraic expression, from its text or the
+    tokens :func:`~repro.lang.lexer.tokenize` made of it; the literal
+    tokens at ``parameters`` parse as placeholders (see :class:`Parser`)."""
+    tokens = tokenize(source) if isinstance(source, str) else source
+    parser = Parser(tokens, parameters)
     expression = parser.expression()
     parser._expect(TokenType.EOF)
     return expression

@@ -21,16 +21,23 @@ side-effect-free expression (the "display the contents of a relation" use
 the paper mentions as a command example), and :meth:`Session.display`,
 which renders a relation's current state as an aligned text table.
 
-Repeated queries — the hot production read shape — run through a full
-plan pipeline: the source text is normalized and memoized, the parsed
-tree is rewritten by the cost-guided optimizer under statistics
-collected from whatever is serving reads, and the winning plan is
-compiled into a flat :class:`~repro.core.compile.CompiledPlan`.  Cached
-plans are tagged with the transaction number they were planned at and
-re-planned when the database moves on (statistics and the data
-dictionary may have shifted); in the steady read-heavy state every
-``query`` call is one dict probe plus one compiled-plan execution.
-:meth:`Session.explain` renders the before/after story for any query.
+Queries run through a plan pipeline keyed by the query's *shape*: its
+tokens with the rollback numerals and comparison literals lifted out
+into a parameter vector, so ``rollback(r, 345)`` and ``rollback(r,
+912)`` — the paper's ``ρ(I, N)`` with ``N`` an argument — share one
+plan.  A plan is the parsed template, rewritten by the cost-guided
+optimizer under statistics collected from whatever is serving reads and
+compiled into a flat :class:`~repro.core.compile.CompiledPlan`; each
+query binds its parameters into it.  A plan stays valid while the
+database's catalog token is unchanged (no relation defined, given its
+first state, or given a new scheme or type — see
+:class:`~repro.core.database.Database`) and no relation it reads has
+drifted in cardinality by more than :data:`DRIFT_FACTOR`; sharded and
+cluster sessions, whose value is assembled on demand, re-plan when the
+transaction number moves.  A text seen before skips the lexer too: in
+the steady read-heavy state every ``query`` call is one dict probe plus
+one compiled-plan execution.  :meth:`Session.explain` renders the
+before/after story for any query.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from collections import OrderedDict
 from typing import Iterable, Optional, Union as TypingUnion
 
 from repro.core.commands import Command
-from repro.core.compile import CompiledPlan, compile_expression
+from repro.core.compile import CompiledPlan, bind, compile_expression
 from repro.core.database import EMPTY_DATABASE, Database
 from repro.core.expressions import Expression, Rollback
 from repro.core.txn import NOW
@@ -51,6 +58,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.historical.state import HistoricalState
+from repro.lang.lexer import query_shape, tokenize
 from repro.lang.parser import parse_command, parse_expression, parse_sentence
 from repro.obsv import registry as _obsv
 from repro.optimizer.cost import explain as explain_plan
@@ -68,17 +76,69 @@ _CLUSTERED = "clustered (cluster=ClusterConfig(...))"
 _IN_MEMORY = "in-memory (a WAL, replica or coordinator owns its value)"
 
 
-class _CachedPlan:
-    """One plan-cache entry: the parsed tree plus the optimized and
-    compiled forms planned at a particular transaction number."""
+#: A plan is re-optimized once a relation it reads holds this many
+#: times more, or fewer, tuples than the statistics it was planned
+#: under (plus one on each side, so an empty relation gaining a few
+#: tuples does not count).
+DRIFT_FACTOR = 4.0
 
-    __slots__ = ("expression", "optimized", "compiled", "txn")
+
+class _CachedPlan:
+    """One plan-cache entry: the parsed template plus the optimized and
+    compiled forms, the catalog token they were planned under, the
+    cardinalities of the relations they read, and the database value
+    they were last found valid for."""
+
+    __slots__ = (
+        "expression", "identifiers", "optimized", "compiled", "token",
+        "cardinalities", "checked",
+    )
 
     def __init__(self, expression: Expression) -> None:
         self.expression = expression
+        self.identifiers = _rollback_identifiers(expression)
         self.optimized: Optional[Expression] = None
         self.compiled: Optional[CompiledPlan] = None
-        self.txn: Optional[int] = None
+        self.token: object = None
+        self.cardinalities: "dict[str, float]" = {}
+        self.checked: Optional[Database] = None
+
+    def drifted(self, database: Database) -> bool:
+        """Whether a relation the plan reads has grown or shrunk past
+        :data:`DRIFT_FACTOR` since it was planned."""
+        for identifier, planned in self.cardinalities.items():
+            relation = database.lookup(identifier)
+            current = 0 if relation is None else len(relation.current_state)
+            low, high = sorted((current, planned))
+            if high + 1 > DRIFT_FACTOR * (low + 1):
+                return True
+        return False
+
+
+class _Query:
+    """One text's entry: its plan, its parameter values, and the plan
+    compiled with them bound (``bound_from`` is the compiled template
+    that binding came from, so a re-plan is noticed)."""
+
+    __slots__ = ("plan", "params", "bound", "bound_from")
+
+    def __init__(self, plan: _CachedPlan, params: tuple) -> None:
+        self.plan = plan
+        self.params = params
+        self.bound: Optional[CompiledPlan] = None
+        self.bound_from: Optional[CompiledPlan] = None
+
+
+def _rollback_identifiers(expression: Expression) -> "tuple[str, ...]":
+    """The relations ``expression``'s ρ leaves read."""
+    identifiers = set()
+    stack = [expression]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Rollback):
+            identifiers.add(node.identifier)
+        stack.extend(node.children())
+    return tuple(sorted(identifiers))
 
 
 class _InMemory:
@@ -328,15 +388,17 @@ class Session:
         # plain and durable backings hand compiled plans their value;
         # the others evaluate reads themselves
         self._routes_reads = self._kind in ("replica", "sharded", "cluster")
-        # coordinators assemble the global value on demand: no trail
+        # coordinators assemble the global value on demand: no trail,
+        # and plans are checked against the transaction number
+        self._coordinated = self._kind in ("sharded", "cluster")
         self._history: "list[Database] | None" = (
-            None
-            if self._kind in ("sharded", "cluster")
-            else [self._backing.database]
+            None if self._coordinated else [self._backing.database]
         )
         self._isolation = isolation
         self._history_limit = history_limit
-        self._plan_cache: "OrderedDict[str, _CachedPlan]" = OrderedDict()
+        # plans by query shape, and each recent text's entry by the text
+        self._plan_cache: "OrderedDict[tuple, _CachedPlan]" = OrderedDict()
+        self._queries: "OrderedDict[str, _Query]" = OrderedDict()
         self._plan_cache_capacity = plan_cache_capacity
         self._plan_cache_hits = 0
         self._plan_cache_misses = 0
@@ -624,12 +686,13 @@ class Session:
         Expressions are side-effect-free: the session's database is
         unchanged.
 
-        Query text runs through the plan cache: parsed once (keyed on
-        whitespace-normalized source, so formatting variants of one
-        query share an entry), cost-optimized under current statistics,
-        compiled, and re-planned only when the transaction number moves.
-        Pre-built :class:`Expression` values skip the cache and evaluate
-        directly.
+        Query text runs through the plan cache: planned once per shape
+        (texts differing only in rollback numerals, comparison literals,
+        layout or comments share a plan), cost-optimized under current
+        statistics, compiled, and re-planned only when the catalog
+        changes or a relation it reads drifts in size (see the module
+        docstring).  Pre-built :class:`Expression` values skip the cache
+        and evaluate directly.
         """
         if _obsv.enabled():
             _obsv.get().counter("lang.queries").inc()
@@ -637,73 +700,118 @@ class Session:
             return self._evaluate_plan(self._cached_expression(source))
         return self._backing.evaluate(source)
 
-    def _evaluate_plan(self, plan: _CachedPlan) -> State:
-        """Evaluate a cached plan, (re)optimizing and (re)compiling if
-        the database has moved since it was last planned."""
-        expression = self._planned_expression(plan)
+    def _evaluate_plan(self, query: _Query) -> State:
+        """Evaluate a text's plan with its parameters bound,
+        (re)optimizing and (re)compiling it first if it is stale."""
+        plan = query.plan
+        database = None if self._coordinated else self._backing.database
+        expression = self._planned_expression(plan, database)
         if self._routes_reads:
             # replica, sharded and cluster backings evaluate through
             # their own routers (staleness bound, scatter-gather); they
-            # reuse the optimized tree but not the compiled plan
-            return self._backing.evaluate(expression)
-        if (
-            plan.compiled is None
-            or plan.compiled.expression is not expression
-        ):
-            plan.compiled = compile_expression(expression)
-        return plan.compiled(self._backing.database)
+            # reuse the optimized template but not the compiled plan
+            return self._backing.evaluate(bind(expression, query.params))
+        compiled = plan.compiled
+        if compiled is None or compiled.expression is not expression:
+            compiled = plan.compiled = compile_expression(expression)
+        if query.bound_from is not compiled:
+            query.bound = compiled.bind(query.params)
+            query.bound_from = compiled
+        return query.bound(database)
 
-    def _planned_expression(self, plan: _CachedPlan) -> Expression:
-        """The plan's optimized tree for the current transaction number.
+    def _planned_expression(
+        self, plan: _CachedPlan, database: Optional[Database]
+    ) -> Expression:
+        """The plan's optimized template, valid for ``database`` (None
+        on a coordinator).
 
-        Plans are tagged with the transaction number they were planned
-        at: once the database moves, statistics and the data dictionary
-        may have shifted (a schema-dependent rewrite licensed by the old
-        catalog could be wrong under the new one), so the plan is
-        rebuilt.  Read-heavy workloads keep the number constant, which
-        is exactly when caching pays.
+        A plan licensed by one catalog can be wrong under another (a
+        scheme-dependent rewrite), so it is rebuilt when the catalog
+        token moves — on coordinators, which assemble their value on
+        demand, when the transaction number does.  It is rebuilt too
+        when a relation it reads has drifted past :data:`DRIFT_FACTOR`
+        in size, since its costs were priced for the old sizes.  Writes
+        that keep the catalog and the sizes keep the plan; a value
+        already checked costs one identity test.
         """
         if not self._optimize:
             return plan.expression
-        txn = self.transaction_number
-        if plan.optimized is None or plan.txn != txn:
+        if database is not None and plan.checked is database:
+            return plan.optimized
+        token = (
+            self.transaction_number
+            if database is None
+            else database.catalog_token
+        )
+        if (
+            plan.optimized is None
+            or plan.token != token
+            or (database is not None and plan.drifted(database))
+        ):
             stats = self.statistics()
             rewriter = CostGuidedRewriter(
                 catalog=self.catalog(), stats=stats
             )
             plan.optimized = rewriter.rewrite(plan.expression)
             plan.compiled = None
-            plan.txn = txn
+            plan.token = token
+            plan.cardinalities = {
+                identifier: stats.cardinality(identifier)
+                for identifier in plan.identifiers
+            }
+        plan.checked = database
         return plan.optimized
 
-    def _cached_expression(self, source: str) -> _CachedPlan:
-        """The plan-cache entry for ``source`` (parsing on a miss).
+    def _cached_expression(self, source: str) -> _Query:
+        """The entry for ``source``: a text seen recently is one dict
+        probe; otherwise the text is lexed, and its shape finds the plan
+        (parsing the template on a miss).
 
-        The key is the whitespace-normalized source, so ``π[k](ρ(r))``
-        and the same query split across lines or double-spaced hit one
-        entry instead of parsing, optimizing and compiling three times.
+        Only plan misses, hits and evictions are counted: the per-text
+        index is a shortcut past the lexer, and forgetting a text loses
+        no plan.
         """
-        key = " ".join(source.split())
+        queries = self._queries
+        query = queries.get(source)
+        if query is not None:
+            queries.move_to_end(source)
+            self._count_hit()
+            return query
+        capacity = self._plan_cache_capacity
+        if capacity == 0:
+            self._count_miss()
+            return _Query(_CachedPlan(parse_expression(source)), ())
+        tokens = tokenize(source)
+        key, slots = query_shape(tokens)
         cache = self._plan_cache
         plan = cache.get(key)
-        if plan is not None:
-            cache.move_to_end(key)
-            self._plan_cache_hits += 1
-            if _obsv.enabled():
-                _obsv.get().counter("lang.plan_cache.hits").inc()
-            return plan
-        self._plan_cache_misses += 1
-        if _obsv.enabled():
-            _obsv.get().counter("lang.plan_cache.misses").inc()
-        plan = _CachedPlan(parse_expression(source))
-        if self._plan_cache_capacity > 0:
-            cache[key] = plan
-            if len(cache) > self._plan_cache_capacity:
+        if plan is None:
+            self._count_miss()
+            plan = cache[key] = _CachedPlan(parse_expression(tokens, slots))
+            if len(cache) > capacity:
                 cache.popitem(last=False)
                 self._plan_cache_evictions += 1
                 if _obsv.enabled():
                     _obsv.get().counter("lang.plan_cache.evictions").inc()
-        return plan
+        else:
+            cache.move_to_end(key)
+            self._count_hit()
+        query = queries[source] = _Query(
+            plan, tuple(tokens[slot].value for slot in slots)
+        )
+        if len(queries) > capacity:
+            queries.popitem(last=False)
+        return query
+
+    def _count_hit(self) -> None:
+        self._plan_cache_hits += 1
+        if _obsv.enabled():
+            _obsv.get().counter("lang.plan_cache.hits").inc()
+
+    def _count_miss(self) -> None:
+        self._plan_cache_misses += 1
+        if _obsv.enabled():
+            _obsv.get().counter("lang.plan_cache.misses").inc()
 
     def plan_cache_info(self) -> dict:
         """Occupancy and hit/miss accounting of the plan cache."""
@@ -724,11 +832,11 @@ class Session:
         """The optimizer's story for a query: the plan as written and
         the plan as it would run, with estimated costs and the rewrites
         the cost gate accepted."""
-        expression = (
-            self._cached_expression(source).expression
-            if isinstance(source, str)
-            else source
-        )
+        if isinstance(source, str):
+            query = self._cached_expression(source)
+            expression = bind(query.plan.expression, query.params)
+        else:
+            expression = source
         stats = self.statistics()
         rewriter = CostGuidedRewriter(catalog=self.catalog(), stats=stats)
         optimized = rewriter.rewrite(expression)
@@ -844,41 +952,8 @@ class Session:
 
 
 def format_state(state: State, title: str = "") -> str:
-    """Render a snapshot or historical state as an aligned text table."""
-    if isinstance(state, HistoricalState):
-        headers = list(state.schema.names) + ["valid"]
-        rows = [
-            [str(v) for v in t.value.values] + [_format_periods(t)]
-            for t in state.tuples
-        ]
-    else:
-        headers = list(state.schema.names)
-        rows = [[str(v) for v in t.values] for t in state.tuples]
-    rows.sort()
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows), 1)
-        if rows
-        else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(
-        " | ".join(h.ljust(w) for h, w in zip(headers, widths))
-    )
-    lines.append("-+-".join("-" * w for w in widths))
-    for row in rows:
-        lines.append(
-            " | ".join(v.ljust(w) for v, w in zip(row, widths))
-        )
-    if not rows:
-        lines.append("(empty)")
-    return "\n".join(lines)
-
-
-def _format_periods(historical_tuple) -> str:
-    return " + ".join(
-        f"[{i.start}, {i.end!r})"
-        for i in historical_tuple.valid_time.intervals
-    )
+    """Render a snapshot or historical state as an aligned text table
+    (its :meth:`~repro.snapshot.state.SnapshotState.table`), under
+    ``title`` when one is given."""
+    table = state.table()
+    return f"{title}\n{table}" if title else table

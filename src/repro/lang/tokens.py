@@ -35,6 +35,10 @@ class TokenType(enum.Enum):
     ARROW = "->"
     EOF = "end of input"
 
+    # members compare by identity; hash them the same way, in C, since
+    # a query's shape key holds one per token
+    __hash__ = object.__hash__
+
 
 #: Reserved words.  Everything else alphanumeric is an identifier.
 KEYWORDS = frozenset(

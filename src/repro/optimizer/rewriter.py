@@ -30,6 +30,7 @@ from repro.core.expressions import (
     Rename,
     Select,
     Union,
+    with_children,
 )
 from repro.optimizer.cost import Stats, estimate_cost
 from repro.optimizer.rules import (
@@ -301,26 +302,5 @@ def _substitute(
         if new_children == children:
             memo[node] = node
         else:
-            memo[node] = _with_children(node, new_children)
+            memo[node] = with_children(node, new_children)
     return memo[root]
-
-
-def _with_children(
-    node: Expression, children: "tuple[Expression, ...]"
-) -> Expression:
-    """A copy of ``node`` over new children."""
-    if isinstance(node, Union):
-        return Union(children[0], children[1])
-    if isinstance(node, Difference):
-        return Difference(children[0], children[1])
-    if isinstance(node, Product):
-        return Product(children[0], children[1])
-    if isinstance(node, Project):
-        return Project(children[0], node.names)
-    if isinstance(node, Select):
-        return Select(children[0], node.predicate)
-    if isinstance(node, Rename):
-        return Rename(children[0], node.mapping)
-    if isinstance(node, Derive):
-        return Derive(children[0], node.predicate, node.expression)
-    return node

@@ -23,7 +23,7 @@ paper mandates.
 plans against a value (plain, durable), each connection's
 :class:`SessionView` is a private plain :class:`Session` re-anchored at
 the store's current immutable database value per request — its *own*
-plan cache (parse, optimize and compile once per query text) over the
+plan cache (parse, optimize and compile once per query shape) over the
 process-wide versioned state cache.  Where the session routes reads
 through its backing (replica, sharded, cluster), views read through the
 authoritative session, which owns the staleness bound and the
@@ -195,7 +195,7 @@ class SessionView:
         if self._session is None:
             self._store.catch_up()
             return self._store.session
-        # Session re-plans cached queries when the txn number moves
+        # the private session checks its plans against each new value
         self._session.reanchor(self._store.current_database(), record=False)
         return self._session
 

@@ -29,40 +29,15 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.expressions import (
-    Derive,
-    Difference,
     Expression,
-    Product,
-    Project,
-    Rename,
     Rollback,
-    Select,
-    Union,
     apply_node,
+    with_children,
 )
 from repro.core.txn import Numeral, is_now
 from repro.obsv import hooks as _hooks
 
 __all__ = ["ScatterGatherRouter"]
-
-
-def _rebuild(node: Expression, children: list[Expression]) -> Expression:
-    """A structurally identical node over new children."""
-    if isinstance(node, Union):
-        return Union(children[0], children[1])
-    if isinstance(node, Difference):
-        return Difference(children[0], children[1])
-    if isinstance(node, Product):
-        return Product(children[0], children[1])
-    if isinstance(node, Project):
-        return Project(children[0], node.names)
-    if isinstance(node, Select):
-        return Select(children[0], node.predicate)
-    if isinstance(node, Rename):
-        return Rename(children[0], node.mapping)
-    if isinstance(node, Derive):
-        return Derive(children[0], node.predicate, node.expression)
-    return node
 
 
 class ScatterGatherRouter:
@@ -138,7 +113,7 @@ class ScatterGatherRouter:
         rewritten = [self.localize(child, shard) for child in children]
         if all(a is b for a, b in zip(rewritten, children)):
             return expression
-        return _rebuild(expression, rewritten)
+        return with_children(expression, rewritten)
 
     # -- evaluation -------------------------------------------------------
 

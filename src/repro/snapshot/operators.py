@@ -62,8 +62,10 @@ def project(state: SnapshotState, names: Sequence[str]) -> SnapshotState:
     sub_schema = state.schema.project(names)
     pick = picker(state.schema, names)
     derived = SnapshotTuple._derived
+    # a source tuple's rendered cells, where kept, pick like its values
     tuples = frozenset(
-        derived(sub_schema, pick(t.values)) for t in state.tuples
+        derived(sub_schema, pick(t._values), t._cells and pick(t._cells))
+        for t in state.tuples
     )
     return SnapshotState.from_tuples(sub_schema, tuples)
 

@@ -20,7 +20,7 @@ from repro.errors import SchemaError
 from repro.snapshot.schema import Schema
 from repro.snapshot.tuples import SnapshotTuple
 
-__all__ = ["SnapshotState"]
+__all__ = ["SnapshotState", "format_table"]
 
 RowLike = Union[SnapshotTuple, Sequence[Any], Mapping[str, Any]]
 
@@ -34,7 +34,7 @@ class SnapshotState:
     2
     """
 
-    __slots__ = ("_schema", "_tuples", "_hash")
+    __slots__ = ("_schema", "_tuples", "_hash", "_table")
 
     def __init__(
         self, schema: Schema, rows: Iterable[RowLike] = ()
@@ -53,6 +53,7 @@ class SnapshotState:
         self._schema = schema
         self._tuples = frozenset(tuples)
         self._hash: int | None = None
+        self._table: str | None = None
 
     @classmethod
     def empty(cls, schema: Schema) -> "SnapshotState":
@@ -68,6 +69,7 @@ class SnapshotState:
         state._schema = schema
         state._tuples = tuples
         state._hash = None
+        state._table = None
         return state
 
     # -- access ------------------------------------------------------------
@@ -98,6 +100,17 @@ class SnapshotState:
 
     def __bool__(self) -> bool:
         return bool(self._tuples)
+
+    def table(self) -> str:
+        """The state as an aligned text table (see :func:`format_table`)
+        of its tuples' :meth:`~SnapshotTuple.cells`.  Computed on the
+        first call and kept: a state is immutable, and a stored one is
+        rendered again on every read of it."""
+        if self._table is None:
+            self._table = format_table(
+                self._schema.names, [t.cells() for t in self._tuples]
+            )
+        return self._table
 
     def is_empty(self) -> bool:
         """True iff the state contains no tuples."""
@@ -159,3 +172,25 @@ class SnapshotState:
             f"SnapshotState({self._schema.names}, "
             f"{len(self._tuples)} tuples: {rows}{suffix})"
         )
+
+
+def format_table(
+    headers: Sequence[str], rows: "list[tuple[str, ...]]"
+) -> str:
+    """A header line, a rule, and one line per row of cells, rows sorted
+    and each column as wide as its widest cell (or ``(empty)`` under the
+    rule when there is no row)."""
+    rows = sorted(rows)
+    if rows:
+        widths = [
+            max(len(header), max(map(len, column)), 1)
+            for header, column in zip(headers, zip(*rows))
+        ]
+    else:
+        widths = [len(header) for header in headers]
+    layout = " | ".join(f"%-{width}s" for width in widths)
+    lines = [layout % tuple(headers), "-+-".join("-" * w for w in widths)]
+    lines.extend([layout % row for row in rows])
+    if not rows:
+        lines.append("(empty)")
+    return "\n".join(lines)

@@ -43,7 +43,7 @@ class SnapshotTuple:
     'physics'
     """
 
-    __slots__ = ("_schema", "_values", "_hash")
+    __slots__ = ("_schema", "_values", "_hash", "_cells")
 
     def __init__(
         self,
@@ -78,15 +78,23 @@ class SnapshotTuple:
         self._schema = schema
         self._values = ordered
         self._hash: int | None = None
+        self._cells: "tuple[str, ...] | None" = None
 
     @classmethod
-    def _derived(cls, schema: Schema, values: tuple) -> "SnapshotTuple":
+    def _derived(
+        cls,
+        schema: Schema,
+        values: tuple,
+        cells: "tuple[str, ...] | None" = None,
+    ) -> "SnapshotTuple":
         """Internal fast path: a tuple whose every value was validated
-        under the identical attribute of ``schema`` in a source tuple."""
+        under the identical attribute of ``schema`` in a source tuple
+        (and whose :meth:`cells`, if given, are those values' cells)."""
         derived = cls.__new__(cls)
         derived._schema = schema
         derived._values = values
         derived._hash = None
+        derived._cells = cells
         return derived
 
     @property
@@ -109,6 +117,15 @@ class SnapshotTuple:
 
     def __len__(self) -> int:
         return len(self._values)
+
+    def cells(self) -> tuple[str, ...]:
+        """The values as display strings (``str`` of each), computed on
+        the first call and kept: a tuple is immutable, and the tuples of
+        a stored state are rendered again on every read of it."""
+        cells = self._cells
+        if cells is None:
+            cells = self._cells = tuple(map(str, self._values))
+        return cells
 
     def as_dict(self) -> dict[str, Any]:
         """A name -> value dictionary view of the tuple."""

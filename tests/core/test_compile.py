@@ -183,3 +183,70 @@ class TestEngineMetrics:
         assert not obsv_registry.enabled()
         plan = compile_expression(Union(Rollback("r", NOW), Rollback("r", 2)))
         plan(db)  # must not raise with no observer installed
+
+
+class TestBinding:
+    """A template's Parameters are bound per query; steps without one
+    are shared, and every value is checked before anything runs."""
+
+    def template(self):
+        from repro.core.expressions import Parameter
+
+        return Union(
+            Select(
+                Rollback("r", Parameter(0)),
+                Comparison(attr("k"), "<", lit(Parameter(1))),
+            ),
+            Rollback("r", NOW),
+        )
+
+    def test_bound_plan_equals_the_bound_tree(self, db):
+        from repro.core.compile import bind
+
+        plan = compile_expression(self.template())
+        for params in ((2, 3), (3, 2), (3, 9), (1, 0)):
+            bound = plan.bind(params)
+            tree = bind(self.template(), params)
+            assert bound.expression == tree
+            assert bound(db) == evaluate(tree, db)
+
+    def test_unparameterized_steps_are_shared(self):
+        plan = compile_expression(self.template())
+        bound = plan.bind((2, 3))
+        shared = [
+            mine is theirs
+            for (_, mine, _), (_, theirs, _) in zip(bound._steps, plan._steps)
+        ]
+        # rollback(r, now) is the only step without a parameter below it
+        assert shared.count(True) == 1
+        fixed = compile_expression(Rollback("r", NOW))
+        assert fixed.bind(()) is fixed
+
+    def test_a_bad_numeral_raises_before_any_step_runs(self, db):
+        from repro.core.expressions import Parameter
+        from repro.errors import RollbackError
+
+        template = Difference(
+            Rollback("missing", NOW), Rollback("r", Parameter(0))
+        )
+        plan = compile_expression(template)
+        with pytest.raises(RollbackError):
+            plan.bind((-1,))(db)
+
+    def test_steps_run_left_to_right(self):
+        """Operands that fail differently raise what ``evaluate``
+        raises: the left one's error."""
+        from repro.errors import UnknownRelationError
+
+        database = run(
+            [
+                DefineRelation("snap", "snapshot"),
+                ModifyState("snap", Const(kv((1, 1)))),
+            ]
+        )
+        # ρ(snap, 1) alone is a RelationTypeError
+        query = Union(Rollback("missing", NOW), Rollback("snap", 1))
+        with pytest.raises(UnknownRelationError):
+            evaluate(query, database)
+        with pytest.raises(UnknownRelationError):
+            compile_expression(query)(database)

@@ -81,3 +81,68 @@ class TestDatabase:
         assert db.require("r") is relation
         with pytest.raises(UnknownRelationError):
             db.require("missing")
+
+
+class TestCatalogToken:
+    """The token is shared exactly by writes that keep every relation's
+    existence, type and current scheme."""
+
+    @staticmethod
+    def run(*sources):
+        from repro.lang.parser import parse_command
+
+        database = EMPTY_DATABASE
+        trail = [database]
+        for source in sources:
+            database = parse_command(source).execute(database)
+            trail.append(database)
+        return trail
+
+    def test_same_scheme_writes_share_it(self):
+        trail = self.run(
+            "define_relation(r, rollback)",
+            "modify_state(r, state (k: integer) { (1) })",
+            "modify_state(r, rollback(r, now) union "
+            "state (k: integer) { (2) })",
+            "modify_state(r, state (k: integer) { (3), (4) })",
+            # deleting every row leaves a typed empty state: same scheme
+            "modify_state(r, rollback(r, now) minus rollback(r, now))",
+        )
+        tokens = {id(database.catalog_token) for database in trail[2:]}
+        assert len(tokens) == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            "define_relation(s, rollback)",
+            "modify_state(r, state (k: integer, v: integer) { (1, 2) })",
+            "modify_state(r, state (k: string) { (\"1\") })",
+        ],
+    )
+    def test_a_catalog_change_makes_a_fresh_one(self, change):
+        before, after = self.run(
+            "define_relation(r, rollback)",
+            "modify_state(r, state (k: integer) { (1) })",
+            change,
+        )[-2:]
+        assert before.catalog_token is not after.catalog_token
+
+    def test_a_first_state_makes_a_fresh_one(self):
+        defined, stated = self.run(
+            "define_relation(r, rollback)",
+            "modify_state(r, state (k: integer) { (1) })",
+        )[-2:]
+        assert defined.catalog_token is not stated.catalog_token
+
+    def test_a_type_change_makes_a_fresh_one(self):
+        database = self.run("define_relation(r, rollback)")[-1]
+        retyped = database.with_binding(
+            "r", Relation(RelationType.SNAPSHOT, ()), 2
+        )
+        assert retyped.catalog_token is not database.catalog_token
+
+    def test_it_takes_no_part_in_equality(self):
+        one = Database(DatabaseState(), 3)
+        other = Database(DatabaseState(), 3)
+        assert one.catalog_token is not other.catalog_token
+        assert one == other and hash(one) == hash(other)

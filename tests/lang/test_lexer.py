@@ -109,3 +109,60 @@ class TestTokenHelpers:
         a = Token(TokenType.INT, 5, 0)
         b = Token(TokenType.INT, 5, 10)
         assert a == b
+
+
+class TestQueryShape:
+    def shape(self, source):
+        from repro.lang.lexer import query_shape
+
+        tokens = tokenize(source)
+        key, slots = query_shape(tokens)
+        return key, [tokens[slot].value for slot in slots]
+
+    def test_lifts_rollback_numerals_and_comparison_literals(self):
+        key, params = self.shape(
+            'select [k < 3 and "x" != name] (rollback(r, 12))'
+        )
+        assert params == [3, "x", 12]
+        assert key == self.shape(
+            'select [k < -4 and "y" != name] (rollback(r, 0))'
+        )[0]
+
+    def test_layout_and_comments_do_not_matter(self):
+        assert (
+            self.shape("rollback(r, 1) -- past\nunion rollback(s, now)")
+            == self.shape("rollback( r,1 )\n\tunion  rollback(s,now)")
+        )
+
+    @pytest.mark.parametrize(
+        "one, other",
+        [
+            # constants, periods, shifts and `now` are not lifted
+            ("state (k) { (1) }", "state (k) { (2) }"),
+            ('state (k) { ("a b") }', 'state (k) { ("a  b") }'),
+            ("rollback(r, now)", "rollback(r, 1)"),
+            ("rollback(r, 1)", "rollback(s, 1)"),
+            ("select [k < 1] (r)", "select [k < v] (r)"),
+            ('select [k = 1] (r)', 'select [k = "1"] (r)'),
+            (
+                "derive [validat(valid, 3); ] (rollback(h, 1))",
+                "derive [validat(valid, 4); ] (rollback(h, 1))",
+            ),
+        ],
+    )
+    def test_anything_else_is_part_of_the_key(self, one, other):
+        assert self.shape(one)[0] != self.shape(other)[0]
+
+
+class TestParameters:
+    def test_lifted_tokens_parse_as_placeholders(self):
+        from repro.core.expressions import Parameter, Rollback, Select
+        from repro.lang.lexer import query_shape
+        from repro.lang.parser import parse_expression
+
+        tokens = tokenize("select [k < 3] (rollback(r, 12))")
+        _, slots = query_shape(tokens)
+        template = parse_expression(tokens, slots)
+        assert isinstance(template, Select)
+        assert template.predicate.right.value == Parameter(0)
+        assert template.operand == Rollback("r", Parameter(1))

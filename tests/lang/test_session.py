@@ -4,8 +4,11 @@ import pytest
 
 from repro.core.database import EMPTY_DATABASE
 from repro.lang.session import Session, format_state
+from repro.optimizer.rewriter import CostGuidedRewriter
 from repro.snapshot.schema import Schema
 from repro.snapshot.state import SnapshotState
+
+from tests.conftest import calls_to
 
 PROGRAM = """
 define_relation(faculty, rollback);
@@ -187,7 +190,7 @@ class TestPlanCache:
             Session(plan_cache_capacity=-1)
 
     def test_whitespace_variants_share_one_plan(self):
-        """The cache key is the normalized source, so reformatting a
+        """The cache key is the query's token shape, so reformatting a
         query must hit the plan compiled for its first spelling."""
         session = Session()
         session.execute(PROGRAM)
@@ -216,9 +219,9 @@ class TestPlanCache:
         assert info["misses"] == 2
 
     def test_cached_plan_replans_after_new_transaction(self):
-        """The cached compiled plan is tagged with the transaction
-        number it was planned at; a later modification must re-plan,
-        not serve the stale answer."""
+        """A cached plan outlives a write that keeps the catalog, but it
+        runs against the new value: it must not serve the stale
+        answer."""
         session = Session()
         session.execute(PROGRAM)
         source = "project [name] (rollback(faculty, now))"
@@ -230,6 +233,181 @@ class TestPlanCache:
         after = session.query(source).sorted_rows()
         assert before != after
         assert ("zoe",) in after
+
+    def test_whitespace_inside_strings_is_part_of_the_query(self):
+        """Regression: the key was ``" ".join(source.split())``, which
+        folds runs of whitespace inside string literals too, so a text
+        differing only there was answered from the other's plan."""
+        session = Session()
+        session.execute(
+            "define_relation(r, rollback);"
+            'modify_state(r, state (k: string) { ("x y"), ("x  y") })'
+        )
+        single = 'select [k = "x y"] (rollback(r, now))'
+        double = 'select [k = "x  y"] (rollback(r, now))'
+        assert session.query(single).sorted_rows() == [("x y",)]
+        assert session.query(double).sorted_rows() == [("x  y",)]
+        constant = 'state (k: string) { ("a %s b") }'
+        for gap in (" ", "  ", " ", "  "):
+            rows = session.query(constant % gap).sorted_rows()
+            assert rows == [(f"a {gap} b",)]
+
+    def test_a_comment_ends_at_its_line(self):
+        """Regression: ``-- c⏎ union B`` and ``-- c union B`` normalized
+        to one key although the second comments ``union B`` out."""
+        session = Session()
+        session.execute(PROGRAM)
+        session.execute(
+            "define_relation(other, rollback);"
+            'modify_state(other, state (name: string, rank: string)'
+            ' { ("zed", "full") })'
+        )
+        two_lines = "rollback(faculty, now) -- c\nunion rollback(other, now)"
+        one_line = "rollback(faculty, now) -- c union rollback(other, now)"
+        assert len(session.query(two_lines)) == 3
+        assert len(session.query(one_line)) == 2
+        assert session.plan_cache_info()["size"] == 2
+
+    def test_texts_differing_in_literals_share_one_plan(self):
+        session = Session()
+        session.execute(PROGRAM)
+        results = [
+            session.query(
+                f'select [rank = "{rank}"] (rollback(faculty, {txn}))'
+            ).sorted_rows()
+            for txn, rank in ((2, "assistant"), (3, "full"), (3, "x"))
+        ]
+        assert results == [[("merrie", "assistant")], [("tom", "full")], []]
+        info = session.plan_cache_info()
+        assert (info["size"], info["misses"], info["hits"]) == (1, 1, 2)
+
+    def test_a_repeated_text_is_not_lexed_again(self):
+        import repro.lang.session as session_module
+
+        session = Session()
+        session.execute(PROGRAM)
+        texts = [
+            "rollback(faculty, 2)",
+            'select [rank = "full"] (rollback(faculty, 3))',
+        ]
+        for text in texts:
+            session.query(text)
+        with calls_to(session_module, "tokenize") as lexed:
+            for _ in range(3):
+                for text in texts:
+                    session.query(text)
+        assert lexed == []
+
+
+def replace_faculty(index: int) -> str:
+    """A write that keeps the catalog and the cardinality: two rows of
+    the same scheme."""
+    return (
+        "modify_state(faculty, state (name: string, rank: string) "
+        f'{{ ("p{index}", "full"), ("q", "assistant") }})'
+    )
+
+
+class TestPlanValidity:
+    """A plan is re-optimized when the catalog token or a cardinality
+    moves, and only then (counted, not timed)."""
+
+    SOURCE = 'select [rank = "full"] (rollback(faculty, now))'
+
+    def test_writes_that_keep_the_catalog_keep_the_plan(self):
+        session = Session()
+        session.execute(PROGRAM)
+        with calls_to(CostGuidedRewriter, "rewrite") as rewrites:
+            assert session.query(self.SOURCE).sorted_rows() == [
+                ("tom", "full")
+            ]
+            for index in range(20):
+                session.execute(replace_faculty(index))
+                assert session.query(self.SOURCE).sorted_rows() == [
+                    (f"p{index}", "full")
+                ]
+        assert len(rewrites) == 1
+
+    def test_a_catalog_change_replans(self):
+        session = Session()
+        session.execute(PROGRAM)
+        source = "project [name] (rollback(faculty, now))"
+        with calls_to(CostGuidedRewriter, "rewrite") as rewrites:
+            session.query(source)
+            session.execute("define_relation(other, rollback)")
+            session.query(source)
+            session.execute(
+                "modify_state(other, state (k: integer) { (1) })"
+            )
+            session.query(source)
+            session.execute(
+                "modify_state(faculty, state (name: string) { (\"ann\") })"
+            )
+            assert session.query(source).sorted_rows() == [("ann",)]
+        assert len(rewrites) == 4
+
+    def test_cardinality_drift_replans(self):
+        from repro.lang.session import DRIFT_FACTOR
+
+        def add(name: str) -> None:
+            session.execute(
+                "modify_state(faculty, rollback(faculty, now) union "
+                f'state (name: string, rank: string) {{ ("{name}", "x") }})'
+            )
+
+        session = Session()
+        session.execute(PROGRAM)
+        # planned at 2 tuples; the largest size that is not a drift
+        within = int(DRIFT_FACTOR * (2 + 1)) - 1
+        with calls_to(CostGuidedRewriter, "rewrite") as rewrites:
+            session.query(self.SOURCE)
+            for size in range(3, within + 1):
+                add(f"n{size}")
+                session.query(self.SOURCE)
+            assert len(rewrites) == 1
+            add("one too many")
+            session.query(self.SOURCE)
+        assert len(rewrites) == 2
+
+    def test_a_time_travel_stream_plans_each_shape_once(self, test_seed):
+        """The audit stream: reads at random past transactions with
+        random bounds over two relations, and a few appends."""
+        import random
+
+        rng = random.Random(test_seed)
+        session = Session()
+        for name in ("a", "b"):
+            session.execute(f"define_relation({name}, rollback)")
+            for version in range(20):
+                rows = ", ".join(f"({version * 10 + i})" for i in range(10))
+                session.execute(
+                    f"modify_state({name}, state (key: integer) {{ {rows} }})"
+                )
+        last = session.transaction_number
+        shapes = (
+            "rollback({0}, {1})",
+            "select [key < {2}] (rollback({0}, {1}))",
+            "project [key] (rollback({0}, {1}))",
+            "rollback({0}, {1}) minus rollback({0}, {3})",
+        )
+        with calls_to(CostGuidedRewriter, "rewrite") as rewrites:
+            for _ in range(400):
+                name = rng.choice("ab")
+                if rng.random() < 0.05:
+                    session.execute(
+                        f"modify_state({name}, rollback({name}, now) union "
+                        f"state (key: integer) {{ ({rng.randrange(500)}) }})"
+                    )
+                    continue
+                text = rng.choice(shapes).format(
+                    name,
+                    rng.randint(1, last),
+                    rng.randrange(200),
+                    rng.randint(1, last),
+                )
+                session.query(text)
+        assert len(rewrites) <= 2 * len(shapes)
+        assert session.plan_cache_info()["evictions"] == 0
 
 
 class TestExplain:

@@ -132,9 +132,10 @@ class TestReads:
             # a second run is served from the plan cache
             assert session.query(text) == expected.query(text), text
         info = session.plan_cache_info()
-        assert info["size"] == len(QUERIES)
-        assert info["hits"] == len(QUERIES)
-        assert info["misses"] == len(QUERIES)
+        # rollback(r, 2) and rollback(r, 3) share one plan
+        assert info["size"] == len(QUERIES) - 1
+        assert info["hits"] == len(QUERIES) + 1
+        assert info["misses"] == len(QUERIES) - 1
         assert session.query(Rollback("r", NOW)) == expected.query(
             Rollback("r", NOW)
         )

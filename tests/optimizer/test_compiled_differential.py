@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.commands import DefineRelation, ModifyState
@@ -355,3 +355,278 @@ class TestSessions:
         finally:
             sharded.close()
             durable.close()
+
+
+# ---------------------------------------------------------------------------
+# shape-cached plans against a fresh parse
+# ---------------------------------------------------------------------------
+#
+# A session plans a query once per *shape* (its text with the rollback
+# numerals and comparison literals lifted into parameters) and keeps the
+# plan across writes that leave the catalog alone.  The e2e oracle plans
+# and renders through this same code, so this suite is the independent
+# check: every answer must equal a fresh parse evaluated by the plain
+# semantics, errors included.
+
+SHAPE_PROGRAM = (
+    "define_relation(r, rollback)",
+    "modify_state(r, state (k: integer, v: integer) "
+    "{ (1, 10), (2, 20), (5, 1) })",
+    "define_relation(s, rollback)",
+    "modify_state(s, state (k: integer, v: integer) { (5, 5), (9, 1) })",
+    "modify_state(r, rollback(r, now) union "
+    "state (k: integer, v: integer) { (7, 2), (8, 3) })",
+    "define_relation(w, rollback)",
+    'modify_state(w, state (name: string, n: integer) '
+    '{ ("x y", 1), ("x  y", 2), ("z", 3) })',
+    "modify_state(r, rollback(r, now) minus "
+    "select [k = 1] (rollback(r, now)))",
+    "define_relation(t, snapshot)",
+    "modify_state(t, state (k: integer, v: integer) { (1, 1) })",
+    'modify_state(w, rollback(w, now) union '
+    'state (name: string, n: integer) { ("a", 4) })',
+)
+
+#: Numerals beyond the last transaction, negative ones (a RollbackError
+#: at parse time) and ``now``; ``t`` is a snapshot relation (a numeral
+#: on it is a RelationTypeError) and ``nosuch`` is unbound.
+NUMERALS = st.one_of(st.just("now"), st.integers(-2, 14).map(str))
+CONSTANTS = st.integers(-3, 12).map(str)
+WORDS = st.sampled_from(['"x y"', '"x  y"', '"z"', '"a"', '"-- no"', '""'])
+SEPARATORS = st.sampled_from([" ", " ", "  ", "\n", " -- note\n"])
+
+
+@st.composite
+def kv_predicates(draw, depth: int = 0) -> list:
+    choice = draw(st.integers(0, 4 if depth < 2 else 1))
+    if choice < 2:
+        attribute = draw(st.sampled_from(["k", "v"]))
+        op = draw(st.sampled_from(["=", "!=", "<", "<=", ">", ">="]))
+        constant = draw(CONSTANTS)
+        if choice == 0:
+            return [attribute, op, constant]
+        return [constant, op, attribute]
+    if choice == 4:
+        return ["not", "(", *draw(kv_predicates(depth + 1)), ")"]
+    connective = "and" if choice == 2 else "or"
+    return [
+        "(", *draw(kv_predicates(depth + 1)), ")",
+        connective,
+        "(", *draw(kv_predicates(depth + 1)), ")",
+    ]
+
+
+@st.composite
+def kv_terms(draw, depth: int = 0) -> list:
+    choice = draw(st.integers(0, 5 if depth < 3 else 1))
+    if choice == 0:
+        relation = draw(st.sampled_from(["r", "r", "s", "t", "nosuch"]))
+        return ["rollback", "(", relation, ",", draw(NUMERALS), ")"]
+    if choice == 1:
+        return [
+            "state", "(", "k", ":", "integer", ",", "v", ":", "integer",
+            ")", "{", "(", draw(CONSTANTS), ",", draw(CONSTANTS), ")", "}",
+        ]
+    if choice == 2:
+        return [
+            "select", "[", *draw(kv_predicates()), "]",
+            "(", *draw(kv_terms(depth + 1)), ")",
+        ]
+    if choice == 5:
+        return [
+            "project", "[", "k", ",", "v", "]",
+            "(", *draw(kv_terms(depth + 1)), ")",
+        ]
+    operator = "union" if choice == 3 else "minus"
+    return [
+        "(", *draw(kv_terms(depth + 1)), ")",
+        operator,
+        "(", *draw(kv_terms(depth + 1)), ")",
+    ]
+
+
+@st.composite
+def query_texts(draw) -> str:
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        pieces = ["project", "[", "k", "]", "(", *draw(kv_terms()), ")"]
+    elif kind == 1:
+        pieces = [
+            "select", "[", "name", "=", draw(WORDS), "or", "n",
+            draw(st.sampled_from(["<", ">"])), draw(CONSTANTS), "]",
+            "(", "rollback", "(", "w", ",", draw(NUMERALS), ")", ")",
+        ]
+    else:
+        pieces = draw(kv_terms())
+    text = pieces[0]
+    for piece in pieces[1:]:
+        text += draw(SEPARATORS) + piece
+    return text
+
+
+def outcome(evaluate_text, text: str):
+    """``("ok", rendered result)`` or ``("error", exception type)``."""
+    from repro.errors import ReproError
+    from repro.server.store import render_state
+
+    try:
+        result = evaluate_text(text)
+    except ReproError as error:
+        return ("error", type(error).__name__)
+    return ("ok", result if isinstance(result, str) else render_state(result))
+
+
+class TestShapeCachedPlans:
+    def test_equal_a_fresh_parse_on_every_backing(self, tmp_path):
+        from repro.replication import RetryPolicy
+        from repro.server.store import ServerStore
+
+        plain = Session()
+        durable = Session(str(tmp_path / "durable"))
+        plain_store = ServerStore()
+        durable_store = ServerStore(durable_dir=str(tmp_path / "store"))
+        for source in SHAPE_PROGRAM:
+            for writer in (plain, durable, plain_store):
+                writer.execute(source)
+            durable_store.execute(source)
+        replica = Session(replica_of=durable, retry=RetryPolicy.none())
+        readers = {
+            "plain": plain.query,
+            "durable": durable.query,
+            "replica": replica.query,
+            "plain view": plain_store.view().query,
+            "durable view": durable_store.view().query,
+        }
+        oracle_db = plain.database
+        texts = set()
+        try:
+
+            @settings(max_examples=200, deadline=None)
+            @given(query_texts())
+            def check(text):
+                texts.add(text)
+                expected = outcome(
+                    lambda t: parse_expression(t).evaluate(oracle_db), text
+                )
+                for name, read in readers.items():
+                    assert outcome(read, text) == expected, (name, text)
+
+            check()
+            # distinct texts differing only in literals shared plans
+            assert plain.plan_cache_info()["misses"] < len(texts)
+        finally:
+            replica.close()
+            durable.close()
+            durable_store.close()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "rollback(r, -1)",
+            "select [k < 3] (rollback(r, -2))",
+            "rollback(nosuch, 2) minus rollback(r, -1)",
+            "rollback(t, 3)",
+            "rollback(nosuch, 3)",
+            "select [k < 3] (rollback(nosuch, now))",
+        ],
+    )
+    def test_errors_match_a_fresh_parse_on_a_cached_shape(self, text):
+        from repro.errors import ReproError
+
+        session = Session()
+        for source in SHAPE_PROGRAM:
+            session.execute(source)
+        # plan the numeral shapes with valid values first; the others
+        # have no valid text, so their second run is the cached one
+        session.query("rollback(r, 3)")
+        session.query("select [k < 1] (rollback(r, 4))")
+        with pytest.raises(ReproError) as fresh:
+            parse_expression(text).evaluate(session.database)
+        for _ in range(2):
+            with pytest.raises(type(fresh.value)):
+                session.query(text)
+
+
+STREAM_RELATIONS = ("a", "b")
+KV_SCHEME = "(k: integer, v: integer)"
+K_SCHEME = "(k: integer)"
+
+
+@st.composite
+def catalog_commands(draw) -> str:
+    """Commands that define relations, give them a first state, change
+    their scheme, empty them, or grow them in place."""
+    name = draw(st.sampled_from(STREAM_RELATIONS))
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        rtype = draw(st.sampled_from(["rollback", "rollback", "snapshot"]))
+        return f"define_relation({name}, {rtype})"
+    if kind == 3:
+        return f"modify_state({name}, rollback({name}, now) minus " \
+            f"rollback({name}, now))"
+    keys = draw(st.lists(st.integers(0, 6), max_size=8))
+    if draw(st.booleans()):
+        scheme = K_SCHEME
+        rows = ", ".join(f"({key})" for key in keys)
+    else:
+        scheme = KV_SCHEME
+        rows = ", ".join(f"({key}, {key % 3})" for key in keys)
+    constant = f"state {scheme} {{ {rows} }}"
+    if kind == 4:
+        return (
+            f"modify_state({name}, rollback({name}, now) union {constant})"
+        )
+    return f"modify_state({name}, {constant})"
+
+
+STREAM_QUERIES = (
+    "rollback(a, now)",
+    "rollback(a, 3)",
+    "project [k] (rollback(a, now))",
+    "project [k, v] (rollback(b, now))",
+    "select [k < 3] (rollback(a, now) union rollback(b, now))",
+    "project [k] (select [k > 1] (rollback(a, now) minus rollback(b, now)))",
+    "select [k > 2] (rollback(a, now) times rename(rollback(b, now), k -> j))",
+    "select [v = 1] (rollback(b, now))",
+)
+
+
+class TestPlansAcrossCommandStreams:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(catalog_commands(), min_size=1, max_size=14))
+    @example(
+        # re-planned under scheme (k) (the first state is a drift from
+        # none), π[k] is an identity and goes; a same-sized state of
+        # scheme (k, v) must bring it back
+        [
+            "define_relation(a, rollback)",
+            "modify_state(a, state (k: integer) { (1), (2), (3), (4) })",
+            "modify_state(a, state (k: integer, v: integer) "
+            "{ (1, 1), (2, 2), (3, 3), (4, 4) })",
+        ]
+    )
+    def test_cached_plan_equals_a_fresh_plan_after_every_command(
+        self, commands
+    ):
+        from repro.errors import ReproError
+        from repro.server.store import ServerStore
+
+        cached = Session()
+        store = ServerStore()
+        view = store.view()
+        for command in commands:
+            try:
+                cached.execute(command)
+            except ReproError:
+                continue
+            store.execute(command)
+            fresh = Session()
+            fresh.reanchor(cached.database, record=False)
+            for text in STREAM_QUERIES:
+                expected = outcome(fresh.query, text)
+                assert outcome(cached.query, text) == expected, (
+                    commands, text
+                )
+                assert outcome(view.query, text) == expected, (
+                    commands, text
+                )
