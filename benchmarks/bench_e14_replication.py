@@ -12,6 +12,13 @@ Three questions the WAL-shipping layer answers empirically:
   function of how many records the replica missed, including the
   re-snapshot path when the primary compacted the missed tail away.
 
+A fourth question is about shape: a replica that is one record behind
+should pay for one record.  ``records_scanned_per_tail_fetch`` counts
+the records CRC-checked while a primary's stream serves its newest
+record; ``bench_payload`` commits its value at log depth 2,000 over
+depth 100 as ``BENCH_e14.json``.  It is 1 when a read starts at the
+wanted record's frame instead of scanning its segment from byte 0.
+
 ``--smoke`` shrinks the workload for CI; with ``REPRO_METRICS_JSON``
 set, the sidecar carries the ``repl.*`` counters (batches fetched,
 records applied, resnapshots, retry traffic).
@@ -21,6 +28,8 @@ from __future__ import annotations
 
 import sys
 import time
+import zlib
+from unittest import mock
 
 from repro.core.commands import DefineRelation, ModifyState
 from repro.core.expressions import Const
@@ -199,6 +208,65 @@ def report(smoke: bool = False) -> str:
             f"{seconds * 1000.0:8.1f} ms"
         )
     return "\n".join(lines)
+
+
+SHALLOW, DEEP = 100, 2000
+
+
+def records_scanned_per_tail_fetch(depth: int) -> int:
+    """Records CRC-checked while a primary whose log holds ``depth``
+    records in one segment serves a replica the newest one."""
+    primary = _primary(depth)
+    assert len(primary.wal.segment_names()) == 1
+    stream = PrimaryStream(primary)
+    scanned = 0
+    original = zlib.crc32
+
+    def counting(*args):
+        nonlocal scanned
+        scanned += 1
+        return original(*args)
+
+    with mock.patch.object(zlib, "crc32", counting):
+        batch = stream.fetch(depth - 1)
+    assert [lsn for lsn, _ in batch] == [depth]
+    primary.close()
+    return scanned
+
+
+#: The same count at the commit before WAL reads started at the wanted
+#: record (c1f38e4).
+PARENT_NOTES = (
+    "before (parent c1f38e4): tail_fetch_depth_ratio 20.0 (2,000 records "
+    "CRC-checked to serve the newest record at depth 2000 vs 100 at "
+    "depth 100: every fetch re-scanned its segment from byte 0)."
+)
+
+
+def bench_payload() -> dict:
+    """Perf-trajectory record for the committed ``BENCH_e14.json``."""
+    shallow = records_scanned_per_tail_fetch(SHALLOW)
+    deep = records_scanned_per_tail_fetch(DEEP)
+    return {
+        "experiment": "e14",
+        "description": (
+            "replication tail: serving the newest record must not cost "
+            "the log behind it"
+        ),
+        "measurements": {
+            "tail_fetch_depth_ratio": {
+                "kind": "ratio",
+                "value": round(deep / shallow, 2),
+                "ceiling": 1.1,
+                "detail": (
+                    f"records CRC-checked per one-record fetch: {deep} at "
+                    f"LSN {DEEP} vs {shallow} at LSN {SHALLOW} (one "
+                    "segment)"
+                ),
+            },
+        },
+        "notes": PARENT_NOTES,
+    }
 
 
 # -- pytest-benchmark entry points -----------------------------------------

@@ -408,12 +408,12 @@ class Cluster:
         return self._sharded.state_at(identifier, txn)
 
     def as_database(self) -> Database:
-        """The global database value (the differential oracle's
-        strongest check) — see
+        """The global database value, kept by the coordinator and
+        re-assembled only where a shard changed — see
         :meth:`~repro.sharding.sharded.ShardedDatabase.as_database`."""
         return self._sharded.as_database()
 
-    #: The global value, assembled on each access.
+    #: The global value, kept between accesses.
     database = property(as_database)
 
     def _read_on_shard(self, index: int, expression: Expression):

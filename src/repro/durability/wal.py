@@ -124,35 +124,42 @@ class FsyncPolicy:
         return self.mode
 
 
-def _scan_segment(data: bytes) -> tuple[list[bytes], int]:
-    """All valid record payloads in ``data`` plus the length of the
-    valid prefix.  Stops at the first short or CRC-failing record."""
-    payloads: list[bytes] = []
-    pos = 0
+def _scan_segment(
+    data: bytes, pos: int = 0
+) -> Iterator[tuple[int, bytes]]:
+    """``(offset, payload)`` for each valid record in ``data`` from byte
+    ``pos`` on, CRC-checked as it is reached.  Stops at the first short
+    or CRC-failing record."""
     size = len(data)
     while pos + _HEADER.size <= size:
         length, crc = _HEADER.unpack_from(data, pos)
         end = pos + _HEADER.size + length
         if end > size:
-            break  # torn: payload truncated
+            return  # torn: payload truncated
         payload = data[pos + _HEADER.size:end]
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            break  # torn or corrupted record
-        payloads.append(payload)
+            return  # torn or corrupted record
+        yield pos, payload
         pos = end
-    return payloads, pos
 
 
 class _Segment:
-    __slots__ = ("name", "first_lsn", "records", "size")
+    """One segment file: its name, first LSN, byte size, and the byte
+    offset of each record's frame (so a read can start at any LSN)."""
+
+    __slots__ = ("name", "first_lsn", "offsets", "size")
 
     def __init__(
-        self, name: str, first_lsn: int, records: int, size: int
+        self, name: str, first_lsn: int, offsets: list[int], size: int
     ) -> None:
         self.name = name
         self.first_lsn = first_lsn
-        self.records = records
+        self.offsets = offsets
         self.size = size
+
+    @property
+    def records(self) -> int:
+        return len(self.offsets)
 
     @property
     def last_lsn(self) -> int:
@@ -204,7 +211,10 @@ class WriteAheadLog:
                 broken = True
                 continue
             data = self._store.read(name)
-            payloads, valid = _scan_segment(data)
+            offsets, valid = [], 0
+            for offset, payload in _scan_segment(data):
+                offsets.append(offset)
+                valid = offset + _HEADER.size + len(payload)
             if valid < len(data):
                 # torn tail (or mid-segment corruption): truncate to the
                 # valid prefix and drop everything after
@@ -212,14 +222,12 @@ class WriteAheadLog:
                 self._note_torn(1)
                 self.torn_records_dropped += 1
                 broken = True
-            if not payloads and valid == 0 and broken:
+            if not offsets and broken:
                 # fully-torn segment: nothing valid left, remove it
                 self._store.delete(name)
                 continue
-            self._segments.append(
-                _Segment(name, first_lsn, len(payloads), valid)
-            )
-            expected = first_lsn + len(payloads)
+            self._segments.append(_Segment(name, first_lsn, offsets, valid))
+            expected = first_lsn + len(offsets)
 
     # -- properties -------------------------------------------------------
 
@@ -258,7 +266,7 @@ class WriteAheadLog:
         )
         segment = self._current_segment(len(frame), lsn)
         self._store.append(segment.name, frame)
-        segment.records += 1
+        segment.offsets.append(segment.size)
         segment.size += len(frame)
         self._pending += 1
         observer = _hooks.wal_observer()
@@ -297,7 +305,7 @@ class WriteAheadLog:
                 observer = _hooks.wal_observer()
                 if observer is not None:
                     observer.rotated()
-            segment = _Segment(_segment_name(lsn), lsn, 0, 0)
+            segment = _Segment(_segment_name(lsn), lsn, [], 0)
             self._store.append(segment.name, b"")
             self._segments.append(segment)
         return self._segments[-1]
@@ -306,25 +314,34 @@ class WriteAheadLog:
 
     def records(self, after_lsn: int = 0) -> Iterator[tuple[int, bytes]]:
         """Yield ``(lsn, payload)`` for every record with LSN >
-        ``after_lsn``, in order."""
+        ``after_lsn``, in order.
+
+        Each segment is scanned from the frame of the first wanted
+        record, and each record is CRC-verified as it is served, so the
+        cost is what is read, not the log's length.  Records before
+        ``after_lsn`` are not read at all."""
         for segment in self._segments:
             if segment.records == 0 or segment.last_lsn <= after_lsn:
                 continue
-            payloads, _ = _scan_segment(self._store.read(segment.name))
-            if len(payloads) < segment.records:
+            skip = max(0, after_lsn + 1 - segment.first_lsn)
+            wanted = range(segment.first_lsn + skip, segment.last_lsn + 1)
+            frames = _scan_segment(
+                self._store.read(segment.name), segment.offsets[skip]
+            )
+            served = 0
+            for lsn, (_, payload) in zip(wanted, frames):
+                yield lsn, payload
+                served += 1
+            if served < len(wanted):
                 # the segment lost records *after* the open-time repair
                 # (media corruption under a live log); serving a shorter
                 # run would silently skip LSNs
                 raise WalError(
-                    f"segment {segment.name!r} holds "
-                    f"{len(payloads)} valid records but "
-                    f"{segment.records} were appended; the log is "
-                    "damaged beneath a live handle"
+                    f"segment {segment.name!r} holds {served} valid "
+                    f"records from LSN {wanted[0]} but {len(wanted)} "
+                    "were appended; the log is damaged beneath a live "
+                    "handle"
                 )
-            for index, payload in enumerate(payloads):
-                lsn = segment.first_lsn + index
-                if lsn > after_lsn:
-                    yield lsn, payload
 
     # -- tailing (the replication shipping surface) -----------------------
 
@@ -381,7 +398,7 @@ class WriteAheadLog:
             return  # already aligned
         for segment in self._segments:
             self._store.delete(segment.name)
-        segment = _Segment(_segment_name(lsn + 1), lsn + 1, 0, 0)
+        segment = _Segment(_segment_name(lsn + 1), lsn + 1, [], 0)
         self._store.append(segment.name, b"")
         self._segments = [segment]
         self._pending = 0

@@ -32,9 +32,10 @@ query binds its parameters into it.  A plan stays valid while the
 database's catalog token is unchanged (no relation defined, given its
 first state, or given a new scheme or type — see
 :class:`~repro.core.database.Database`) and no relation it reads has
-drifted in cardinality by more than :data:`DRIFT_FACTOR`; sharded and
-cluster sessions, whose value is assembled on demand, re-plan when the
-transaction number moves.  A text seen before skips the lexer too: in
+drifted in cardinality by more than :data:`DRIFT_FACTOR`.  Sharded and
+cluster coordinators keep their global value and hand the token on by
+the same rule, so their plans survive writes too.  A text seen before
+skips the lexer too: in
 the steady read-heavy state every ``query`` call is one dict probe plus
 one compiled-plan execution.  :meth:`Session.explain` renders the
 before/after story for any query.
@@ -388,11 +389,11 @@ class Session:
         # plain and durable backings hand compiled plans their value;
         # the others evaluate reads themselves
         self._routes_reads = self._kind in ("replica", "sharded", "cluster")
-        # coordinators assemble the global value on demand: no trail,
-        # and plans are checked against the transaction number
-        self._coordinated = self._kind in ("sharded", "cluster")
+        # coordinators keep no trail of past global values
         self._history: "list[Database] | None" = (
-            None if self._coordinated else [self._backing.database]
+            None
+            if self._kind in ("sharded", "cluster")
+            else [self._backing.database]
         )
         self._isolation = isolation
         self._history_limit = history_limit
@@ -422,10 +423,12 @@ class Session:
     def database(self) -> Database:
         """The current database value.
 
-        Sharded and cluster sessions reassemble the global value from
-        the shard set on each access (an O(identifiers) walk, not a
-        hot-path cost); reads and writes themselves never materialize
-        it."""
+        On sharded and cluster sessions the coordinator keeps the global
+        value and, on each access, re-assembles only the relations whose
+        shard relation or modify count moved (see
+        :meth:`~repro.sharding.sharded.ShardedDatabase.as_database`):
+        O(identifiers) identity checks plus the change.  Every write and
+        every planned read asks for it, as on a single node."""
         return self._backing.database
 
     @property
@@ -435,8 +438,8 @@ class Session:
         once more than ``history_limit`` values have accumulated, the
         oldest are dropped (pass ``history_limit=None`` to retain every
         value, the pre-bound behaviour).  Sharded and cluster sessions
-        do not retain a trail (the global value is assembled on
-        demand): the tuple holds just the current database."""
+        do not retain a trail: the tuple holds just the current
+        database."""
         if self._history is None:
             return (self.database,)
         return tuple(self._history)
@@ -704,7 +707,7 @@ class Session:
         """Evaluate a text's plan with its parameters bound,
         (re)optimizing and (re)compiling it first if it is stale."""
         plan = query.plan
-        database = None if self._coordinated else self._backing.database
+        database = self._backing.database
         expression = self._planned_expression(plan, database)
         if self._routes_reads:
             # replica, sharded and cluster backings evaluate through
@@ -720,34 +723,24 @@ class Session:
         return query.bound(database)
 
     def _planned_expression(
-        self, plan: _CachedPlan, database: Optional[Database]
+        self, plan: _CachedPlan, database: Database
     ) -> Expression:
-        """The plan's optimized template, valid for ``database`` (None
-        on a coordinator).
+        """The plan's optimized template, valid for ``database``.
 
         A plan licensed by one catalog can be wrong under another (a
         scheme-dependent rewrite), so it is rebuilt when the catalog
-        token moves — on coordinators, which assemble their value on
-        demand, when the transaction number does.  It is rebuilt too
-        when a relation it reads has drifted past :data:`DRIFT_FACTOR`
-        in size, since its costs were priced for the old sizes.  Writes
-        that keep the catalog and the sizes keep the plan; a value
-        already checked costs one identity test.
+        token moves.  It is rebuilt too when a relation it reads has
+        drifted past :data:`DRIFT_FACTOR` in size, since its costs were
+        priced for the old sizes.  Writes that keep the catalog and the
+        sizes keep the plan; a value already checked costs one identity
+        test.
         """
         if not self._optimize:
             return plan.expression
-        if database is not None and plan.checked is database:
+        if plan.checked is database:
             return plan.optimized
-        token = (
-            self.transaction_number
-            if database is None
-            else database.catalog_token
-        )
-        if (
-            plan.optimized is None
-            or plan.token != token
-            or (database is not None and plan.drifted(database))
-        ):
+        token = database.catalog_token
+        if plan.token is not token or plan.drifted(database):
             stats = self.statistics()
             rewriter = CostGuidedRewriter(
                 catalog=self.catalog(), stats=stats

@@ -57,24 +57,17 @@ from repro.core.commands import (
     ModifyState,
     Sequence as CommandSequence,
 )
-from repro.core.database import Database, DatabaseState
-from repro.core.expressions import (
-    Const,
-    Expression,
-    Rollback,
-    is_empty_set,
-)
-from repro.core.relation import EMPTY_STATE, Relation
+from repro.core.database import EMPTY_DATABASE, Database
+from repro.core.expressions import Const, Expression, Rollback
+from repro.core.relation import Relation
 from repro.core.txn import NOW, Numeral, TransactionNumber, is_now
 from repro.durability import DurableDatabase, MemoryStore
 from repro.durability.codec import command_from_dict, decode_record
 from repro.durability.files import DirectoryStore, FileStore
-from repro.historical.state import HistoricalState
 from repro.obsv import hooks as _hooks
 from repro.sharding.journal import CoordinatorJournal
 from repro.sharding.partition import HashPartitioner, Partitioner
 from repro.sharding.router import ScatterGatherRouter
-from repro.snapshot.state import SnapshotState
 
 __all__ = ["ShardedDatabase", "RebalanceReport"]
 
@@ -180,6 +173,9 @@ class ShardedDatabase:
         #: modifies, aligned 1:1 with the owner relation's state sequence
         #: for the append-only types
         self._mods: dict[str, list[int]] = {}
+        #: the kept global value and, per identifier, the (shard
+        #: relation, modify count, global relation) it was assembled from
+        self._global: tuple = (EMPTY_DATABASE, {})
         self._closed = False
         self._router = ScatterGatherRouter(
             owner_of=self._owner_for_read,
@@ -316,6 +312,7 @@ class ShardedDatabase:
             identifier: [int(txn) for txn in txns]
             for identifier, txns in meta["mods"].items()
         }
+        self._global = (EMPTY_DATABASE, {})
         self._closed = False
         self._router = ScatterGatherRouter(
             owner_of=self._owner_for_read,
@@ -612,8 +609,14 @@ class ShardedDatabase:
         else:
             # cross-shard expression: scatter-gather the value at the
             # coordinator, then ship it as a constant state
-            state = self._router.evaluate(command.expression)
-            state = self._resolve_empty_set(command.identifier, state)
+            relation = self._shards[owner].database.require(
+                command.identifier
+            )
+            state = command._resolve_empty_set(
+                relation,
+                relation.rtype,
+                self._router.evaluate(command.expression),
+            )
             applied = self._journal_execute(
                 owner,
                 "modify",
@@ -631,27 +634,6 @@ class ShardedDatabase:
         self._txn += 1
         self._mods.setdefault(command.identifier, []).append(self._txn)
 
-    def _resolve_empty_set(self, identifier: str, state):
-        """Mirror :meth:`ModifyState._resolve_empty_set` for
-        coordinator-evaluated expressions: give the untyped ∅ the schema
-        of the relation's most recent state before shipping it."""
-        if not is_empty_set(state):
-            return state
-        owner = self._owner[identifier]
-        relation = self._shards[owner].database.require(identifier)
-        if relation.history_length == 0:
-            raise CommandError(
-                f"modify_state({identifier!r}, ...): the expression "
-                "denotes the untyped empty set and the relation has no "
-                "prior state to take a schema from; use an explicit "
-                "empty constant state instead"
-            )
-        latest = relation.current_state
-        if isinstance(latest, HistoricalState):
-            return HistoricalState.empty(latest.schema)
-        assert isinstance(latest, SnapshotState)
-        return SnapshotState.empty(latest.schema)
-
     # -- read path --------------------------------------------------------
 
     def evaluate(self, expression: Expression):
@@ -666,58 +648,83 @@ class ShardedDatabase:
     def state_at(self, identifier: str, txn: TransactionNumber):
         """``FINDSTATE`` at a *global* transaction number; None when the
         identifier is unbound, ∅ when no state qualifies."""
-        owner = self._owner.get(identifier)
-        if owner is None:
-            return None
-        relation = self._shards[owner].database.lookup(identifier)
-        if relation is None:
-            return None
-        mods = self._mods.get(identifier, [])
-        position = bisect_right(mods, txn)
-        if relation.rtype.keeps_history:
-            if position == 0:
-                return EMPTY_STATE
-            return relation.rstate[position - 1][0]
-        # replace types hold only the latest state, bound to the global
-        # time of the last modify — exactly as the unsharded relation does
-        if mods and position == len(mods):
-            return relation.rstate[-1][0]
-        return EMPTY_STATE
+        relation = self.as_database().lookup(identifier)
+        return None if relation is None else relation.find_state(txn)
 
     def as_database(self) -> Database:
         """The global :class:`~repro.core.database.Database` value — the
         same value the unsharded execution of the sentence produces.
-        Rebuilt on demand (the differential oracle's strongest check);
-        not used on the command or query hot paths."""
-        state = DatabaseState()
-        for identifier in self.identifiers:
-            owner = self._owner[identifier]
-            relation = self._shards[owner].database.lookup(identifier)
-            if relation is None:
-                continue
-            mods = self._mods.get(identifier, [])
-            if relation.rtype.keeps_history:
-                if len(mods) != relation.history_length:
-                    raise ShardingError(
-                        f"coordinator metadata for {identifier!r} "
-                        f"records {len(mods)} modifies but shard "
-                        f"{owner} holds {relation.history_length} states"
-                    )
-                rstate = tuple(
-                    (entry[0], global_txn)
-                    for entry, global_txn in zip(relation.rstate, mods)
-                )
-            elif mods:
-                rstate = ((relation.rstate[-1][0], mods[-1]),)
-            else:
-                rstate = ()
-            state = state.bind(
-                identifier, Relation(relation.rtype, rstate)
-            )
-        return Database(state, self._txn)
 
-    #: The global value, assembled on each access.
+        The coordinator keeps the last value it assembled and, per
+        identifier, the shard relation and modify count it came from.  A
+        call compares those by identity, O(identifiers), and folds only
+        the relations that moved (:meth:`_assemble`) into the kept value
+        with :meth:`~repro.core.database.Database.with_binding` — so a
+        write that keeps a relation's type and scheme hands the catalog
+        token on, by the rule a single node uses, and an unchanged
+        coordinator returns the identical value."""
+        database, parts = self._global
+        parts = dict(parts)
+        for identifier, owner in self._owner.items():
+            relation = self._shards[owner].database.lookup(identifier)
+            count = len(self._mods.get(identifier, ()))
+            part = parts.get(identifier)
+            if part is not None and part[0] is relation and part[1] == count:
+                continue
+            assembled = None  # a relation lost on its shard stays unbound
+            if relation is not None:
+                assembled = self._assemble(identifier, relation, part)
+                database = database.with_binding(
+                    identifier, assembled, self._txn
+                )
+            parts[identifier] = (relation, count, assembled)
+        # every effective command moves a shard relation, so the value
+        # is re-stamped with the counter whenever the counter moved
+        self._global = (database, parts)
+        return database
+
+    #: The global value, kept between accesses.
     database = property(as_database)
+
+    def _assemble(
+        self, identifier: str, relation: Relation, part: Optional[tuple]
+    ) -> Relation:
+        """``identifier``'s global relation: its shard relation's states
+        stamped with their global transaction numbers.
+
+        When the shard only appended to the relation ``part`` was
+        assembled from — the element that one ends on is, by identity,
+        still in place — the kept relation is extended by the new
+        elements alone (:meth:`~repro.core.relation.Relation.with_new_state`
+        checks only those).  Anything else (a rebalance move, a
+        failover's replacement shard, a define) goes through the
+        validating constructor."""
+        mods = self._mods.get(identifier, [])
+        states = relation.rstate
+        if not relation.rtype.keeps_history:
+            # replace types hold only the latest state, bound to the
+            # global time of the last modify — as the unsharded one does
+            rstate = ((states[-1][0], mods[-1]),) if mods else ()
+            return Relation(relation.rtype, rstate)
+        if len(mods) != len(states):
+            raise ShardingError(
+                f"coordinator metadata for {identifier!r} records "
+                f"{len(mods)} modifies but shard "
+                f"{self._owner[identifier]} holds {len(states)} states"
+            )
+        previous, count, assembled = part or (None, 0, None)
+        if previous is None or (
+            count and states[count - 1] is not previous.rstate[-1]
+        ):
+            return Relation(
+                relation.rtype,
+                ((entry[0], txn) for entry, txn in zip(states, mods)),
+            )
+        for position in range(count, len(states)):
+            assembled = assembled.with_new_state(
+                states[position][0], mods[position]
+            )
+        return assembled
 
     # -- rebalancing ------------------------------------------------------
 
@@ -936,8 +943,6 @@ class ShardedDatabase:
                         return None
         except Exception:
             return None
-        from repro.core.database import EMPTY_DATABASE
-
         simulated = EMPTY_DATABASE
         try:
             for command in commands:

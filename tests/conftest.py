@@ -196,6 +196,22 @@ def kv_historical_states(draw, max_rows: int = 6) -> HistoricalState:
     return HistoricalState(schema, tuples)
 
 
+def coordinator_session(backing: str):
+    """A ``Session`` whose value a coordinator assembles from shards:
+    ``"sharded"`` (two shards) or ``"cluster"`` (two shards of one
+    replica each)."""
+    from repro.cluster import ClusterConfig
+    from repro.lang.session import Session
+
+    if backing == "sharded":
+        return Session(shards=2)
+    return Session(cluster=ClusterConfig(shards=2, replicas_per_shard=1))
+
+
+#: The ``coordinator_session`` backings, for ``parametrize``.
+COORDINATORS = ("cluster", "sharded")
+
+
 # ---------------------------------------------------------------------------
 # spies
 # ---------------------------------------------------------------------------

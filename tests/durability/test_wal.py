@@ -1,12 +1,15 @@
 """Tests for the segmented CRC-framed write-ahead log."""
 
 import struct
+import zlib
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import StorageError, WalError
 from repro.durability.faults import MemoryStore
 from repro.durability.wal import FsyncPolicy, WriteAheadLog
+
+from tests.conftest import calls_to
 
 _HEADER = struct.Struct("<II")
 
@@ -171,6 +174,67 @@ class TestRepair:
         assert reopened.segment_names() == (names[0],)
         lsns = [lsn for lsn, _ in reopened.records()]
         assert lsns == list(range(1, len(lsns) + 1))
+
+
+class TestTailReads:
+    """A read starts at the frame of the first wanted record and
+    CRC-verifies exactly the records it serves."""
+
+    def logged(self, count, **kwargs):
+        store = MemoryStore()
+        wal = WriteAheadLog(store, policy="always", **kwargs)
+        items = [f"record-{i:05d}".encode() for i in range(count)]
+        for item in items:
+            wal.append(item)
+        return store, wal, items
+
+    def test_a_one_record_fetch_costs_the_same_at_any_depth(self):
+        _, wal, items = self.logged(2100)
+        assert len(wal.segment_names()) == 1
+        scanned = []
+        for lsn in (10, 2000):
+            with calls_to(zlib, "crc32") as crcs:
+                batch = wal.read_from(lsn, limit=1)
+            assert batch == [(lsn, items[lsn - 1])]
+            scanned.append(len(crcs))
+        assert scanned == [1, 1]
+
+    def test_every_start_lsn_serves_the_exact_suffix(self):
+        store, wal, items = self.logged(30, segment_bytes=64)
+        assert len(wal.segment_names()) > 3
+        # offsets come from appends here and from the open-time scan
+        # after a reopen
+        for log in (wal, WriteAheadLog(store, policy="always")):
+            for after in range(len(items) + 1):
+                assert payloads_of(log, after) == items[after:]
+
+    def test_damage_at_or_after_the_requested_lsn_raises(self):
+        store, wal, items = self.logged(8)
+        name = wal.segment_names()[0]
+        frame = _HEADER.size + len(items[0])
+        store.corrupt(name, 4 * frame + _HEADER.size + 1)  # LSN 5
+        for lsn in (1, 3, 5):
+            with pytest.raises(WalError, match="beneath a live handle"):
+                wal.read_from(lsn)
+        # every *served* record is verified: a run that stops short of
+        # the damage, or starts past it, is served intact
+        assert wal.read_from(2, limit=3) == [
+            (lsn, items[lsn - 1]) for lsn in (2, 3, 4)
+        ]
+        assert payloads_of(wal, after_lsn=5) == items[5:]
+        # open-time repair is unchanged: the log keeps the valid prefix
+        reopened = WriteAheadLog(store, policy="always")
+        assert payloads_of(reopened) == items[:4]
+
+    def test_a_truncated_segment_raises(self):
+        store, wal, items = self.logged(6)
+        name = wal.segment_names()[0]
+        store.replace(name, store.read(name)[:-3])
+        with pytest.raises(WalError, match="beneath a live handle"):
+            wal.read_from(6)
+        assert wal.read_from(1, limit=5) == [
+            (lsn, items[lsn - 1]) for lsn in range(1, 6)
+        ]
 
 
 class TestSyncPolicyEffects:

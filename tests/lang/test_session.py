@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.database import EMPTY_DATABASE
+from repro.core.relation import Relation
 from repro.lang.session import Session, format_state
 from repro.optimizer.rewriter import CostGuidedRewriter
 from repro.snapshot.schema import Schema
 from repro.snapshot.state import SnapshotState
 
-from tests.conftest import calls_to
+from tests.conftest import COORDINATORS, calls_to, coordinator_session
 
 PROGRAM = """
 define_relation(faculty, rollback);
@@ -315,7 +316,16 @@ class TestPlanValidity:
     SOURCE = 'select [rank = "full"] (rollback(faculty, now))'
 
     def test_writes_that_keep_the_catalog_keep_the_plan(self):
-        session = Session()
+        self.check_writes_keep_the_plan(Session())
+
+    @pytest.mark.parametrize("backing", COORDINATORS)
+    def test_writes_that_keep_the_catalog_keep_the_plan_on_a_coordinator(
+        self, backing
+    ):
+        with coordinator_session(backing) as session:
+            self.check_writes_keep_the_plan(session)
+
+    def check_writes_keep_the_plan(self, session):
         session.execute(PROGRAM)
         with calls_to(CostGuidedRewriter, "rewrite") as rewrites:
             assert session.query(self.SOURCE).sorted_rows() == [
@@ -327,6 +337,22 @@ class TestPlanValidity:
                     (f"p{index}", "full")
                 ]
         assert len(rewrites) == 1
+
+    @pytest.mark.parametrize("backing", COORDINATORS)
+    def test_warm_coordinator_reads_assemble_no_relation(self, backing):
+        """A coordinator hands back its kept global value while nothing
+        changed: 100 reads build no relation and plan nothing."""
+        with coordinator_session(backing) as session:
+            session.execute(PROGRAM)
+            assert len(session.query(self.SOURCE)) == 1
+            with calls_to(Relation, "__init__") as built, calls_to(
+                CostGuidedRewriter, "rewrite"
+            ) as rewrites:
+                for _ in range(100):
+                    assert session.query(self.SOURCE).sorted_rows() == [
+                        ("tom", "full")
+                    ]
+            assert (built, rewrites) == ([], [])
 
     def test_a_catalog_change_replans(self):
         session = Session()

@@ -62,7 +62,7 @@ from repro.storage import (
 )
 from repro.storage.versioned_db import _BackendDatabaseView
 
-from tests.conftest import kv_states
+from tests.conftest import COORDINATORS, coordinator_session, kv_states
 
 KV = Schema([Attribute("k", INTEGER), Attribute("v", INTEGER)])
 XY = Schema([Attribute("x", INTEGER), Attribute("y", INTEGER)])
@@ -630,3 +630,50 @@ class TestPlansAcrossCommandStreams:
                 assert outcome(view.query, text) == expected, (
                     commands, text
                 )
+
+    @pytest.mark.parametrize("backing", COORDINATORS)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                catalog_commands(),
+                catalog_commands(),
+                catalog_commands(),
+                st.sampled_from(["rebalance", "add_shard", "failover"]),
+            ),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    def test_cached_plan_equals_a_fresh_plan_on_a_coordinator(
+        self, backing, steps
+    ):
+        """The same streams through a sharded or cluster session, with
+        its topology moves mixed in: the coordinator's kept value hands
+        plans on across writes and moves, and they must stay right."""
+        from repro.errors import ReproError
+        from repro.sharding import HashPartitioner
+
+        with coordinator_session(backing) as cached:
+            for salt, step in enumerate(steps):
+                try:
+                    if step == "rebalance":
+                        cached.rebalance(HashPartitioner(salt=salt))
+                    elif step == "add_shard":
+                        cached.add_shard()
+                    elif step == "failover":
+                        if cached.cluster is None:
+                            continue
+                        shard = salt % cached.cluster.shard_count
+                        cached.failover(shard)
+                        cached.add_replica(shard)
+                    else:
+                        cached.execute(step)
+                except ReproError:
+                    continue
+                fresh = Session()
+                fresh.reanchor(cached.database, record=False)
+                for text in STREAM_QUERIES:
+                    assert outcome(cached.query, text) == outcome(
+                        fresh.query, text
+                    ), (steps, text)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from repro.core.commands import DefineRelation, ModifyState, execute
-from repro.core.database import EMPTY_DATABASE
+from repro.core.database import EMPTY_DATABASE, Database, DatabaseState
 from repro.core.expressions import (
     Const,
     Difference,
@@ -23,8 +25,9 @@ from repro.core.expressions import (
     Select,
     Union,
 )
-from repro.core.relation import EMPTY_STATE
+from repro.core.relation import EMPTY_STATE, Relation
 from repro.core.txn import NOW
+from repro.errors import ShardingError
 from repro.persistence.json_codec import database_to_dict, state_to_dict
 from repro.snapshot.predicates import Comparison, attr, lit
 from repro.workloads.generators import StateGenerator
@@ -177,3 +180,115 @@ def assert_differential(sharded, oracle) -> None:
                 assert canonical(sharded.evaluate(expression)) == (
                     canonical(expression.evaluate(oracle))
                 ), f"ρ({identifier!r}, {txn})"
+
+
+# ---------------------------------------------------------------------------
+# the coordinator's kept global value
+# ---------------------------------------------------------------------------
+
+
+def assembled_from_scratch(sharded) -> Database:
+    """The global value assembled from nothing, every relation through
+    the validating constructor — what ``ShardedDatabase.as_database``
+    computed on every call before the coordinator kept its value.  The
+    reference the kept value must equal after every step."""
+    state = DatabaseState()
+    for identifier in sharded.identifiers:
+        owner = sharded._owner[identifier]
+        relation = sharded._shards[owner].database.lookup(identifier)
+        if relation is None:
+            continue
+        mods = sharded._mods.get(identifier, [])
+        if relation.rtype.keeps_history:
+            if len(mods) != relation.history_length:
+                raise ShardingError(
+                    f"coordinator metadata for {identifier!r} "
+                    f"records {len(mods)} modifies but shard "
+                    f"{owner} holds {relation.history_length} states"
+                )
+            rstate = tuple(
+                (entry[0], global_txn)
+                for entry, global_txn in zip(relation.rstate, mods)
+            )
+        elif mods:
+            rstate = ((relation.rstate[-1][0], mods[-1]),)
+        else:
+            rstate = ()
+        state = state.bind(identifier, Relation(relation.rtype, rstate))
+    return Database(state, sharded.transaction_number)
+
+
+def catalog_of(database: Database) -> dict:
+    """What a catalog token stands for: each relation's type and the
+    scheme of its current state (None when it has none)."""
+    catalog = {}
+    for identifier in database.state:
+        relation = database.require(identifier)
+        state = relation.current_state
+        catalog[identifier] = (
+            relation.rtype,
+            None if state is EMPTY_STATE else state.schema,
+        )
+    return catalog
+
+
+def check_kept_value(coordinator, previous):
+    """After a step: the kept value equals a from-scratch assembly, an
+    unchanged coordinator hands back the identical value, and a token
+    handed on names an equal catalog.  Returns the ``(token, catalog)``
+    to pass as ``previous`` after the next step."""
+    database = coordinator.database
+    assert database == assembled_from_scratch(
+        getattr(coordinator, "sharded", coordinator)
+    )
+    assert coordinator.database is database
+    catalog = catalog_of(database)
+    if previous is not None and previous[0] is database.catalog_token:
+        assert catalog == previous[1]
+    return database.catalog_token, catalog
+
+
+STEP_RELATIONS = ("a", "b", "c")
+STEP_SCHEMES = ("(k: integer)", "(k: integer, v: integer)")
+
+
+@st.composite
+def catalog_steps(draw) -> str:
+    """Command texts over three relations: defines, constant modifies
+    that keep or change the scheme, in-place appends, reads of another
+    relation (the coordinated path) and of a past transaction."""
+    name = draw(st.sampled_from(STEP_RELATIONS))
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        rtype = draw(st.sampled_from(["rollback", "rollback", "snapshot"]))
+        return f"define_relation({name}, {rtype})"
+    scheme = draw(st.sampled_from(STEP_SCHEMES))
+    keys = draw(st.lists(st.integers(0, 6), max_size=5))
+    width = scheme.count(":")
+    rows = ", ".join(
+        "(" + ", ".join(str(key + column) for column in range(width)) + ")"
+        for key in keys
+    )
+    constant = f"state {scheme} {{ {rows} }}"
+    if kind == 1:
+        return f"modify_state({name}, rollback({name}, now) union {constant})"
+    if kind == 2:
+        other = draw(st.sampled_from(STEP_RELATIONS))
+        return f"modify_state({name}, rollback({other}, now) union {constant})"
+    if kind == 3:
+        numeral = draw(st.integers(0, 12))
+        return (
+            f"modify_state({name}, rollback({name}, {numeral}) "
+            f"union {constant})"
+        )
+    return f"modify_state({name}, {constant})"
+
+
+def coordinator_steps(*operations: str):
+    """Command texts mixed with topology operations, three to one."""
+    return st.one_of(
+        catalog_steps(),
+        catalog_steps(),
+        catalog_steps(),
+        st.sampled_from(operations),
+    )
