@@ -11,9 +11,10 @@ command log.  This package makes that literal:
 * :mod:`repro.durability.wal` — a segmented append-only log with
   CRC-framed records, configurable fsync policy (``always`` /
   ``batch(N, ms)`` / ``never``) and segment rotation;
-* :mod:`repro.durability.checkpoint` — periodic full-database snapshots
-  through :mod:`repro.persistence.json_codec`, CRC-validated;
-* :mod:`repro.durability.recovery` — load the newest valid checkpoint,
+* :mod:`repro.durability.checkpoint` — periodic checkpoints as a chain
+  of CRC-validated segments, each sealing only the states appended
+  since the previous one, named by a small manifest;
+* :mod:`repro.durability.recovery` — fold the newest valid chain,
   replay the tail through :func:`repro.core.commands.execute`;
 * :mod:`repro.durability.files` / :mod:`repro.durability.faults` — the
   narrow file layer plus a fault-injecting simulated disk (crashes,

@@ -7,16 +7,20 @@ The wrapper owns three things:
   empty database (Section 3.5's definition of a database);
 * a :class:`~repro.durability.wal.WriteAheadLog` that every command is
   appended to *before* the in-memory value advances (write-ahead), plus
-  periodic checkpoints and log compaction;
+  periodic checkpoints and log compaction.  A checkpoint seals only the
+  states appended since the previous one into a new segment of the
+  chain :mod:`repro.durability.checkpoint` describes, so its cost is
+  what changed, not the depth of history;
 * optionally, a physical :class:`~repro.storage.versioned_db.VersionedDatabase`
   mirror over any :class:`~repro.storage.backend.StorageBackend`, kept
   in lock-step so reads can be served from a physical representation
   while durability stays at the command layer.
 
 Opening a :class:`DurableDatabase` *is* recovery: the constructor
-repairs the log, loads the newest valid checkpoint, replays the tail
-through :func:`repro.core.commands.execute`, and (when a backend mirror
-is attached) rebuilds the backend from the recovered value.
+repairs the log, loads the newest valid checkpoint chain, replays the
+tail through :func:`repro.core.commands.execute`, resumes the chain's
+writer, and (when a backend mirror is attached) rebuilds the backend
+from the recovered value.
 """
 
 from __future__ import annotations
@@ -30,10 +34,7 @@ from repro.core.database import Database
 from repro.core.expressions import Expression
 from repro.core.relation import EMPTY_STATE
 from repro.core.txn import TransactionNumber
-from repro.durability.checkpoint import (
-    CheckpointEncoder,
-    drop_old_checkpoints,
-)
+from repro.durability.checkpoint import drop_old_checkpoints
 from repro.durability.codec import encode_record
 from repro.durability.files import DirectoryStore, FileStore
 from repro.durability.recovery import RecoveryResult, recover
@@ -53,6 +54,9 @@ class DurableDatabase:
     ``store`` may be a directory path (a :class:`DirectoryStore` is
     created) or any :class:`FileStore` — the fault-injection suite
     passes a :class:`~repro.durability.faults.MemoryStore`.
+    ``keep_checkpoints`` counts segment chains: a checkpoint keeps the
+    newest manifest of each of the newest ``keep_checkpoints`` chains,
+    and no two kept manifests share a file.
     """
 
     def __init__(
@@ -88,7 +92,7 @@ class DurableDatabase:
         self._database = result.database
         self._last_recovery = result
         self._since_checkpoint = result.replayed
-        self._checkpoints = CheckpointEncoder()
+        self._checkpoints = result.writer
         self._versioned = None
         if backend is not None:
             from repro.storage.versioned_db import VersionedDatabase
@@ -186,8 +190,10 @@ class DurableDatabase:
         self._wal.sync()
 
     def checkpoint(self) -> None:
-        """Sync the log, publish a checkpoint, drop superseded
-        checkpoints, and compact fully-covered WAL segments."""
+        """Sync the log, seal what changed into a segment and publish
+        its manifest, keep the newest manifest of each of the newest
+        ``keep_checkpoints`` chains (dropping every other manifest and
+        segment), and compact fully-covered WAL segments."""
         self._wal.sync()
         self._checkpoints.write(
             self._store, self._database, self._wal.last_lsn
@@ -195,10 +201,12 @@ class DurableDatabase:
         kept = drop_old_checkpoints(
             self._store, keep=self._keep_checkpoints
         )
-        # compact only through the *oldest* retained checkpoint: if the
-        # newest one is later found damaged, recovery falls back to an
-        # older checkpoint and still finds every record it must replay
-        self._wal.drop_segments_through(min(kept))
+        # compact only through the *oldest* kept manifest: if a file of
+        # a newer chain is later found damaged, recovery falls back to
+        # an older chain and still finds every record it must replay.
+        # Until ``keep`` chains exist the oldest fallback is ∅.
+        if len(kept) == self._keep_checkpoints:
+            self._wal.drop_segments_through(min(kept))
         self._since_checkpoint = 0
 
     @property

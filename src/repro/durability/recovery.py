@@ -1,4 +1,4 @@
-"""Crash recovery: checkpoint + deterministic command replay.
+"""Crash recovery: the checkpoint's segment chain + deterministic replay.
 
 The recovery invariant, which the fault-injection suite checks at every
 transaction number against an in-memory oracle:
@@ -11,8 +11,10 @@ transaction number against an in-memory oracle:
 Recovery is three steps, all reusing existing machinery rather than a
 parallel semantics:
 
-1. load the newest checkpoint that validates (CRC; fall back to older
-   ones, then to the empty database) — :mod:`repro.durability.checkpoint`;
+1. load the newest checkpoint whose manifest and every segment it names
+   validate (CRC; fall back to older manifests, then to the empty
+   database), folding the segments' deltas in order —
+   :mod:`repro.durability.checkpoint`;
 2. replay the WAL tail past the checkpoint's LSN through
    :func:`repro.core.commands.execute`, the paper's own semantic
    function **C** (a torn final record was already truncated when the
@@ -20,6 +22,10 @@ parallel semantics:
 3. cross-check: after each replayed record the database's transaction
    number must equal the one the record committed with — a cheap
    divergence detector for log corruption that framing CRCs cannot see.
+
+The result also carries a checkpoint writer seeded from the loaded
+manifest, so the first checkpoint after a reopen writes only what was
+appended since.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Optional, Union
 from repro.errors import DivergenceError
 from repro.core.commands import execute as execute_command
 from repro.core.database import EMPTY_DATABASE, Database
-from repro.durability.checkpoint import latest_checkpoint
+from repro.durability.checkpoint import CheckpointWriter, load_checkpoint
 from repro.durability.codec import decode_record
 from repro.durability.files import FileStore
 from repro.durability.wal import FsyncPolicy, WriteAheadLog
@@ -48,6 +54,7 @@ class RecoveryResult:
         "replayed",
         "last_lsn",
         "seconds",
+        "writer",
     )
 
     def __init__(
@@ -57,12 +64,15 @@ class RecoveryResult:
         replayed: int,
         last_lsn: int,
         seconds: float,
+        writer: CheckpointWriter,
     ) -> None:
         self.database = database
         self.checkpoint_lsn = checkpoint_lsn  # 0 = recovered from empty
         self.replayed = replayed  # WAL records re-executed
         self.last_lsn = last_lsn  # newest LSN the log retains
         self.seconds = seconds
+        #: extends the loaded checkpoint's segment chain
+        self.writer = writer
 
     def __repr__(self) -> str:
         return (
@@ -87,11 +97,11 @@ def recover(
     start = time.perf_counter()
     if wal is None:
         wal = WriteAheadLog(store, policy=policy)
-    checkpoint = latest_checkpoint(store)
+    checkpoint = load_checkpoint(store)
     if checkpoint is None:
-        base_lsn, database = 0, EMPTY_DATABASE
+        base_lsn, database, writer = 0, EMPTY_DATABASE, CheckpointWriter()
     else:
-        base_lsn, database = checkpoint
+        base_lsn, database, writer = checkpoint
     replayed = 0
     for lsn, payload in wal.records(after_lsn=base_lsn):
         command, txn = decode_record(payload)
@@ -109,5 +119,5 @@ def recover(
     if observer is not None:
         observer.recovered(replayed, seconds)
     return RecoveryResult(
-        database, base_lsn, replayed, wal.last_lsn, seconds
+        database, base_lsn, replayed, wal.last_lsn, seconds, writer
     )

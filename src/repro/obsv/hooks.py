@@ -167,6 +167,7 @@ class WalObserver:
         "_compactions",
         "_segments_dropped",
         "_checkpoints",
+        "_checkpoint_bytes",
         "_invalid_checkpoints",
         "_recoveries",
         "_replay_length",
@@ -182,6 +183,7 @@ class WalObserver:
         self._compactions = registry.counter("wal.compactions")
         self._segments_dropped = registry.counter("wal.segments_dropped")
         self._checkpoints = registry.counter("wal.checkpoints_written")
+        self._checkpoint_bytes = registry.counter("wal.checkpoint_bytes")
         self._invalid_checkpoints = registry.counter(
             "wal.checkpoints_invalid_skipped"
         )
@@ -215,9 +217,11 @@ class WalObserver:
         self._compactions.inc()
         self._segments_dropped.inc(segments)
 
-    def checkpointed(self) -> None:
-        """A checkpoint file was published."""
+    def checkpointed(self, nbytes: int) -> None:
+        """A checkpoint was published, writing ``nbytes`` (its new
+        segment, if any, and its manifest)."""
         self._checkpoints.inc()
+        self._checkpoint_bytes.inc(nbytes)
 
     def invalid_checkpoint(self) -> None:
         """Recovery skipped a checkpoint that failed validation."""

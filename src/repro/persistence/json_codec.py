@@ -86,7 +86,7 @@ def _periods_from_list(payload: list[list[Any]]) -> PeriodSet:
 def state_to_dict(state) -> dict[str, Any]:
     """A snapshot or historical state as a JSON-ready dictionary — the
     per-state slice of :func:`database_to_dict`, public because other
-    layers (the archive store, checkpoints) serialize bare states."""
+    layers (the archive store) serialize bare states."""
     if isinstance(state, HistoricalState):
         return {
             "kind": "historical",
@@ -115,14 +115,16 @@ def state_from_dict(payload: dict[str, Any]):
     return _decode_state(payload, {})
 
 
-def _decode_state(payload: dict[str, Any], tables: dict):
-    """:func:`state_from_dict` sharing ``tables`` (one Schema and one row
-    table per distinct schema) with the other states of a relation, so
-    each distinct row is validated and built once.  The row key carries
-    every value's type: ``1``, ``True`` and ``1.0`` hash equal."""
-    schema_key = tuple((a["name"], a["domain"]) for a in payload["schema"])
+def _shared_rows(schema_payload: list, tables: dict):
+    """``(schema, row)`` for the encoded schema ``schema_payload``,
+    sharing ``tables`` (one Schema and one row table per distinct
+    schema) with the other states of a relation, so each distinct row is
+    validated and built once: ``row(values)`` returns that one tuple.
+    The row key carries every value's type: ``1``, ``True`` and ``1.0``
+    hash equal."""
+    schema_key = tuple((a["name"], a["domain"]) for a in schema_payload)
     if schema_key not in tables:
-        tables[schema_key] = (_schema_from_dict(payload["schema"]), {})
+        tables[schema_key] = (_schema_from_dict(schema_payload), {})
     schema, rows = tables[schema_key]
 
     def row(values: list) -> SnapshotTuple:
@@ -135,6 +137,13 @@ def _decode_state(payload: dict[str, Any], tables: dict):
         except TypeError:  # an unhashable value: validation rejects it
             return SnapshotTuple(schema, values)
 
+    return schema, row
+
+
+def _decode_state(payload: dict[str, Any], tables: dict):
+    """:func:`state_from_dict` sharing ``tables`` with the other states
+    of a relation (see :func:`_shared_rows`)."""
+    schema, row = _shared_rows(payload["schema"], tables)
     if payload["kind"] == "historical":
         tuples = [
             HistoricalTuple(row(values), _periods_from_list(periods))

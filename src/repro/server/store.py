@@ -13,11 +13,14 @@ the store asks it instead of re-deriving the kind.
 the session's transaction manager (``Session.run`` stages its commands
 and commits atomically, and its abort-on-raise discipline guarantees a
 failing sentence never leaks an ACTIVE transaction); the session stays
-the value's only owner.  The other backings write through the session's
-execute path, which is already the serialized WAL/coordinator commit
-path.  Either way the asyncio server executes at most one write at a
-time, so the two paths agree with the sequential-sentence semantics the
-paper mandates.
+the value's only owner.  The other backings take the sentence as one
+command sequence through the session's execute path, which is already
+the serialized WAL/coordinator commit path: the durable backing
+evaluates it whole before logging one WAL record with one fsync, and a
+coordinator flattens it (the cluster sheds the whole sentence when any
+of its shards is degraded).  Either way the asyncio server executes at
+most one write at a time, so the two paths agree with the
+sequential-sentence semantics the paper mandates.
 
 **Reads** never touch the write path.  Where the session runs compiled
 plans against a value (plain, durable), each connection's
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.commands import sequence
 from repro.core.database import Database
 from repro.errors import ConcurrencyError, ReproError
 from repro.lang.parser import parse_sentence
@@ -141,10 +145,10 @@ class ServerStore:
 
     def execute(self, source: str) -> int:
         """Execute one sentence; returns the resulting transaction
-        number.  Raises (without partial effect on the plain backing)
-        when the sentence is invalid."""
+        number.  Raises (without partial effect on the plain and durable
+        backings) when the sentence is invalid."""
         if self._manager is None:
-            self._session.execute(source)
+            self._session.execute_command(sequence(parse_sentence(source)))
             return self._session.transaction_number
         commands = parse_sentence(source)
 

@@ -192,8 +192,15 @@ class TestWalMetrics:
     def test_wal_metrics_flow_through_hooks(self, workload):
         registry = MetricsRegistry()
         hooks.install(registry)
+        published = []
+
+        class PublishingStore(MemoryStore):
+            def replace(self, name, data):
+                published.append(len(data))
+                super().replace(name, data)
+
         try:
-            store = MemoryStore()
+            store = PublishingStore()
             ddb = DurableDatabase(
                 store,
                 fsync="always",
@@ -213,6 +220,8 @@ class TestWalMetrics:
         assert counters["wal.bytes_appended"] > 0
         assert counters["wal.segments_rotated"] >= 1
         assert counters["wal.checkpoints_written"] == 2
+        # every segment and manifest is published through replace()
+        assert counters["wal.checkpoint_bytes"] == sum(published) > 0
         assert counters["wal.recoveries"] == 2
         assert "wal.recovery_seconds" in snapshot["histograms"]
 

@@ -4,11 +4,14 @@ Writes through the store and through its authoritative session must
 see each other: a store that kept its own transaction manager beside
 the session's database let a store write silently drop whatever the
 session had executed (it committed against a stale value).
+
+On the plain and the durable backing alike, a sentence commits whole
+or not at all.
 """
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SchemaError
 from repro.server.store import ServerStore
 
 STATE = "state (k: integer) { (1) }"
@@ -45,3 +48,55 @@ class TestSingleOwner:
             )
         assert store.transaction_number == 1
         assert store.manager.outstanding_count == 0
+
+
+#: Two commands; the second fails its schema check after the first ran.
+FAILING = (
+    "modify_state(r, state (k: integer) { (2) }); "
+    'modify_state(r, rollback(r, now) union state (z: string) { ("x") })'
+)
+
+
+@pytest.mark.parametrize("backing", ["plain", "durable"])
+class TestSentencesAreAtomic:
+    """A sentence either commits whole or leaves nothing behind — on the
+    durable backing too, where its first command used to be logged,
+    fsynced and kept when a later one failed."""
+
+    @staticmethod
+    def open(backing, tmp_path):
+        if backing == "plain":
+            return ServerStore()
+        return ServerStore(durable_dir=str(tmp_path), fsync="always")
+
+    def test_a_failing_sentence_leaves_no_partial_effect(
+        self, backing, tmp_path
+    ):
+        store = self.open(backing, tmp_path)
+        store.execute("define_relation(r, rollback)")
+        assert store.execute(f"modify_state(r, {STATE})") == 2
+        with pytest.raises(SchemaError):
+            store.execute(FAILING)
+        assert store.transaction_number == 2
+        before = store.view().query("rollback(r, now)")
+        assert "1" in before and "2" not in before
+        store.close()
+        if backing == "durable":
+            reopened = self.open(backing, tmp_path)
+            assert reopened.transaction_number == 2
+            assert reopened.view().query("rollback(r, now)") == before
+            reopened.close()
+
+    def test_a_sentence_is_one_commit(self, backing, tmp_path):
+        store = self.open(backing, tmp_path)
+        store.execute("define_relation(r, rollback)")
+        durable = store.session.durable
+        records = durable.wal.last_lsn if durable else 0
+        assert store.execute(
+            f"modify_state(r, {STATE}); "
+            "modify_state(r, rollback(r, now) union "
+            "state (k: integer) { (2) })"
+        ) == 3
+        if durable:
+            assert durable.wal.last_lsn == records + 1
+        store.close()
