@@ -68,7 +68,7 @@ from repro.core.expressions import Expression
 from repro.core.txn import TransactionNumber
 from repro.durability.durable import DurableDatabase
 from repro.durability.files import DirectoryStore
-from repro.obsv import hooks as _hooks
+from repro.obsv import registry as _obsv
 from repro.replication.replica import Replica
 from repro.replication.stream import PrimaryStream, ReplicationStream
 from repro.sharding.journal import CoordinatorJournal
@@ -286,13 +286,13 @@ class Cluster:
     def lags(self) -> dict[int, list[int]]:
         """Per-shard replica lags (records behind the primary's tail),
         sampled into the ``cluster.shard_lag_records`` histogram."""
-        observer = _hooks.cluster_observer()
         lags: dict[int, list[int]] = {}
         for index, followers in enumerate(self._replicas):
             lags[index] = [replica.lag() for replica in followers]
-            if observer is not None:
+            if _obsv.enabled():
+                histogram = _obsv.get().histogram("cluster.shard_lag_records")
                 for lag in lags[index]:
-                    observer.lag(lag)
+                    histogram.observe(lag)
         return lags
 
     # -- degraded mode -----------------------------------------------------
@@ -311,18 +311,16 @@ class Cluster:
         if shard in self._degraded:
             return
         self._degraded.add(shard)
-        observer = _hooks.cluster_observer()
-        if observer is not None:
-            observer.degraded(marked=True)
+        if _obsv.enabled():
+            _obsv.get().counter("cluster.health.degraded_marked").inc()
 
     def clear_degraded(self, shard: int) -> None:
         """Stop shedding writes aimed at ``shard``."""
         if shard not in self._degraded:
             return
         self._degraded.discard(shard)
-        observer = _hooks.cluster_observer()
-        if observer is not None:
-            observer.degraded(marked=False)
+        if _obsv.enabled():
+            _obsv.get().counter("cluster.health.degraded_cleared").inc()
 
     def _write_target(self, command: Command) -> Optional[int]:
         """The shard a (flattened) command's write would land on, or
@@ -354,9 +352,8 @@ class Cluster:
             for flat in self._sharded._flatten(command):
                 target = self._write_target(flat)
                 if target is not None and target in self._degraded:
-                    observer = _hooks.cluster_observer()
-                    if observer is not None:
-                        observer.write_shed()
+                    if _obsv.enabled():
+                        _obsv.get().counter("cluster.health.writes_shed").inc()
                     raise ClusterDegradedError(
                         f"shard {target} has no live primary; write "
                         "shed — retry after failover"
@@ -376,9 +373,8 @@ class Cluster:
             if target is None:
                 raise
             self.mark_degraded(target)
-            observer = _hooks.cluster_observer()
-            if observer is not None:
-                observer.write_shed()
+            if _obsv.enabled():
+                _obsv.get().counter("cluster.health.writes_shed").inc()
             raise ClusterDegradedError(
                 f"shard {target}'s primary store failed mid-write "
                 f"({error}); the shard is degraded — retry after "
@@ -392,9 +388,16 @@ class Cluster:
         replicas (round-robin over the live ones) under the configured
         freshness contract; shards with no live replicas answer from
         their primary."""
-        observer = _hooks.shard_observer()
-        if observer is not None:
-            observer.query(self._read_router.fanout(expression))
+        if _obsv.enabled():
+            fanout = self._read_router.fanout(expression)
+            registry = _obsv.get()
+            registry.counter("shard.queries").inc()
+            registry.histogram("shard.query_fanout").observe(fanout)
+            registry.counter(
+                "shard.queries_scattered"
+                if fanout > 1
+                else "shard.queries_single_shard"
+            ).inc()
         return self._read_router.evaluate(expression)
 
     def evaluate_primary(self, expression: Expression):
@@ -418,20 +421,19 @@ class Cluster:
 
     def _read_on_shard(self, index: int, expression: Expression):
         replica = self._pick_replica(index)
-        observer = _hooks.cluster_observer()
         if replica is None:
-            if observer is not None:
-                observer.read(from_replica=False)
+            if _obsv.enabled():
+                _obsv.get().counter("cluster.reads_primary").inc()
             return self._sharded.shards[index].evaluate(expression)
         if self._config.freshness == "fresh":
             replica.catch_up()
-        if observer is not None:
-            observer.read(from_replica=True)
+        if _obsv.enabled():
+            _obsv.get().counter("cluster.reads_replica").inc()
         try:
             return replica.evaluate(expression)
         except StaleReadError:
-            if observer is not None:
-                observer.stale_rejected()
+            if _obsv.enabled():
+                _obsv.get().counter("cluster.stale_rejections").inc()
             raise
 
     def _pick_replica(self, index: int) -> Optional[Replica]:
@@ -463,9 +465,8 @@ class Cluster:
                 if replica.diverged or replica.promoted:
                     continue
                 total += replica.catch_up()
-        observer = _hooks.cluster_observer()
-        if observer is not None and total:
-            observer.caught_up(total)
+        if total and _obsv.enabled():
+            _obsv.get().counter("cluster.catchup_records").inc(total)
         return total
 
     def stream(self, shard: int) -> "ReplicationStream":
@@ -483,9 +484,8 @@ class Cluster:
         replica = self._new_replica(shard, self._streams[shard])
         self._replicas[shard].append(replica)
         self._persist_topology()
-        observer = _hooks.cluster_observer()
-        if observer is not None:
-            observer.replica_added()
+        if _obsv.enabled():
+            _obsv.get().counter("cluster.replicas_added").inc()
         return replica
 
     # -- topology changes --------------------------------------------------
@@ -498,9 +498,8 @@ class Cluster:
             self._primary_dirs.append(f"shard-{index}")
         self._attach_shard(index)
         self._persist_topology()
-        observer = _hooks.cluster_observer()
-        if observer is not None:
-            observer.shard_added()
+        if _obsv.enabled():
+            _obsv.get().counter("cluster.shards_added").inc()
         return index
 
     def rebalance(
@@ -591,9 +590,8 @@ class Cluster:
             sibling.refollow(stream)
         self.clear_degraded(shard)
         self._persist_topology()
-        observer = _hooks.cluster_observer()
-        if observer is not None:
-            observer.failed_over()
+        if _obsv.enabled():
+            _obsv.get().counter("cluster.failovers").inc()
 
     # -- durability control ------------------------------------------------
 

@@ -39,7 +39,7 @@ import time
 from typing import Callable, Optional
 
 from repro.errors import ReproError
-from repro.obsv import hooks as _hooks
+from repro.obsv import registry as _obsv
 from repro.replication.replica import Replica
 
 from repro.cluster.cluster import Cluster
@@ -179,7 +179,6 @@ class ClusterSupervisor:
         clock and probe outcomes."""
         report = TickReport()
         cluster = self._cluster
-        observer = _hooks.cluster_observer()
         for shard in range(cluster.shard_count):
             health = self.health(shard)
             ok = True
@@ -188,8 +187,11 @@ class ClusterSupervisor:
             except (ReproError, OSError):
                 ok = False
             report.probes += 1
-            if observer is not None:
-                observer.probed(ok)
+            if _obsv.enabled():
+                registry = _obsv.get()
+                registry.counter("cluster.health.probes").inc()
+                if not ok:
+                    registry.counter("cluster.health.probe_failures").inc()
             degraded = shard in cluster.degraded_shards
             if ok and not degraded:
                 health.consecutive_failures = 0
@@ -215,7 +217,6 @@ class ClusterSupervisor:
         self, shard: int, health: ShardHealth, report: TickReport
     ) -> None:
         cluster = self._cluster
-        observer = _hooks.cluster_observer()
         live = [
             r
             for r in cluster.replicas(shard)
@@ -228,8 +229,10 @@ class ClusterSupervisor:
             try:
                 cluster.add_replica(shard)
             except ReproError:
-                if observer is not None:
-                    observer.auto_failover_failed()
+                if _obsv.enabled():
+                    _obsv.get().counter(
+                        "cluster.health.failover_failures"
+                    ).inc()
                 report.failover_failures += 1
             return
         try:
@@ -237,8 +240,8 @@ class ClusterSupervisor:
         except ReproError:
             # validate-then-promote refused: the cluster is untouched
             # and still degraded; count it and retry next tick
-            if observer is not None:
-                observer.auto_failover_failed()
+            if _obsv.enabled():
+                _obsv.get().counter("cluster.health.failover_failures").inc()
             report.failover_failures += 1
             return
         report.failovers += 1
@@ -246,8 +249,10 @@ class ClusterSupervisor:
         down_since = health.down_since
         health.consecutive_failures = 0
         health.down_since = None
-        if observer is not None:
-            observer.auto_failed_over(
+        if _obsv.enabled():
+            registry = _obsv.get()
+            registry.counter("cluster.health.auto_failovers").inc()
+            registry.histogram("cluster.health.mttr_seconds").observe(
                 self._clock() - down_since
                 if down_since is not None
                 else 0.0
@@ -255,7 +260,6 @@ class ClusterSupervisor:
 
     def _tend_replicas(self, report: TickReport) -> None:
         cluster = self._cluster
-        observer = _hooks.cluster_observer()
         for shard in range(cluster.shard_count):
             live = 0
             for replica in cluster.replicas(shard):
@@ -269,8 +273,8 @@ class ClusterSupervisor:
                     except ReproError:
                         continue  # retried next tick
                     report.resyncs += 1
-                    if observer is not None:
-                        observer.resynced()
+                    if _obsv.enabled():
+                        _obsv.get().counter("cluster.health.resyncs").inc()
                     try:
                         replica.catch_up()
                     except ReproError:
@@ -285,8 +289,8 @@ class ClusterSupervisor:
                     break  # e.g. the primary can't snapshot right now
                 live += 1
                 report.backfills += 1
-                if observer is not None:
-                    observer.backfilled()
+                if _obsv.enabled():
+                    _obsv.get().counter("cluster.health.backfills").inc()
 
     # -- the loop ----------------------------------------------------------
 

@@ -58,11 +58,13 @@ from repro.snapshot.predicates import And, Comparison, Literal, Not, Or
 __all__ = ["CompiledPlan", "bind", "compile_expression"]
 
 
-#: Observability slot for the compiled engine, installed by
-#: :func:`repro.obsv.hooks.install` (``engine.*`` metrics).  Module
-#: global so the disabled cost per execution is one load and an
+#: The metrics registry while metrics are on, else ``None``; set by
+#: :func:`repro.obsv.registry.enable` / ``disable``.  A plain module
+#: global, so the disabled cost per execution is one load and an
 #: ``is None`` branch; this module never imports :mod:`repro.obsv`.
-_OBSERVER = None
+#: Compiled steps count their node work under the interpreter's
+#: ``expr.nodes_evaluated``, plans their own under ``engine.*``.
+_METRICS = None
 
 
 class CompiledPlan:
@@ -124,25 +126,26 @@ class CompiledPlan:
 
     def __call__(self, database: Database) -> State:
         """Execute the plan — ``E[[expression]] database``."""
-        observer = _OBSERVER
+        metrics = _METRICS
         values: list = [None] * len(self._steps)
         for index, (handler, node, operand_slots) in enumerate(
             self._steps
         ):
             if handler is None:
                 # leaves (Const, Rollback, third-party nodes) evaluate
-                # themselves so their own observer hooks fire
+                # themselves, and count themselves there
                 values[index] = node.evaluate(database)
             else:
-                if observer is not None:
-                    observer.node()
+                if metrics is not None:
+                    metrics.counter("expr.nodes_evaluated").inc()
                 values[index] = handler(
                     node,
                     [values[slot] for slot in operand_slots],
                     database,
                 )
-        if observer is not None:
-            observer.executed(len(self._steps))
+        if metrics is not None:
+            metrics.counter("engine.plan_executions").inc()
+            metrics.counter("engine.steps_executed").inc(len(self._steps))
         return values[-1]
 
     def __repr__(self) -> str:
@@ -212,8 +215,12 @@ def compile_expression(
         sizes[-1] if sizes else 0,
         tuple(i for i, held in enumerate(holds_parameter) if held),
     )
-    if _OBSERVER is not None:
-        _OBSERVER.compiled(plan.step_count, plan.node_count)
+    if _METRICS is not None:
+        _METRICS.counter("engine.plans_compiled").inc()
+        _METRICS.counter("engine.steps_compiled").inc(plan.step_count)
+        _METRICS.counter("engine.cse_nodes_saved").inc(
+            max(0, plan.node_count - plan.step_count)
+        )
     return plan
 
 

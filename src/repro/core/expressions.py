@@ -91,11 +91,11 @@ def is_empty_set(value: Any) -> bool:
     return value is EMPTY_SET
 
 
-#: Observability slot: ``None`` until :func:`repro.obsv.registry.enable`
-#: installs an :class:`repro.obsv.hooks.ExpressionObserver`.  Kept as a
-#: plain module global so the disabled cost per node is one load and an
-#: ``is None`` branch; this module never imports :mod:`repro.obsv`.
-_OBSERVER = None
+#: The metrics registry while metrics are on, else ``None``; set by
+#: :func:`repro.obsv.registry.enable` / ``disable``.  A plain module
+#: global, so the disabled cost per node is one load and an ``is None``
+#: branch; this module never imports :mod:`repro.obsv`.
+_METRICS = None
 
 
 def _require_state(value: Any, node: "Expression") -> State:
@@ -182,8 +182,8 @@ class Const(Expression):
         self._hash = hash(("Const", state))
 
     def evaluate(self, database: Database) -> State:
-        if _OBSERVER is not None:
-            _OBSERVER.node()
+        if _METRICS is not None:
+            _METRICS.counter("expr.nodes_evaluated").inc()
         return self.state
 
     def __eq__(self, other: object) -> bool:
@@ -208,8 +208,8 @@ class Union(Expression):
         self._hash = hash(("Union", left, right))
 
     def evaluate(self, database: Database) -> State:
-        if _OBSERVER is not None:
-            _OBSERVER.node()
+        if _METRICS is not None:
+            _METRICS.counter("expr.nodes_evaluated").inc()
         l = self.left.evaluate(database)
         r = self.right.evaluate(database)
         # ∅ is the identity of union (paper: FINDSTATE may denote ∅).
@@ -252,8 +252,8 @@ class Difference(Expression):
         self._hash = hash(("Difference", left, right))
 
     def evaluate(self, database: Database) -> State:
-        if _OBSERVER is not None:
-            _OBSERVER.node()
+        if _METRICS is not None:
+            _METRICS.counter("expr.nodes_evaluated").inc()
         l = self.left.evaluate(database)
         r = self.right.evaluate(database)
         # ∅ − E = ∅ and E − ∅ = E.
@@ -296,8 +296,8 @@ class Product(Expression):
         self._hash = hash(("Product", left, right))
 
     def evaluate(self, database: Database) -> State:
-        if _OBSERVER is not None:
-            _OBSERVER.node()
+        if _METRICS is not None:
+            _METRICS.counter("expr.nodes_evaluated").inc()
         l = self.left.evaluate(database)
         r = self.right.evaluate(database)
         # ∅ annihilates a product.
@@ -338,8 +338,8 @@ class Project(Expression):
         self._hash = hash(("Project", operand, self.names))
 
     def evaluate(self, database: Database) -> State:
-        if _OBSERVER is not None:
-            _OBSERVER.node()
+        if _METRICS is not None:
+            _METRICS.counter("expr.nodes_evaluated").inc()
         inner = self.operand.evaluate(database)
         if is_empty_set(inner):
             return EMPTY_SET
@@ -376,8 +376,8 @@ class Select(Expression):
         self._hash = hash(("Select", operand, predicate))
 
     def evaluate(self, database: Database) -> State:
-        if _OBSERVER is not None:
-            _OBSERVER.node()
+        if _METRICS is not None:
+            _METRICS.counter("expr.nodes_evaluated").inc()
         inner = self.operand.evaluate(database)
         if is_empty_set(inner):
             return EMPTY_SET
@@ -419,8 +419,8 @@ class Rename(Expression):
         )
 
     def evaluate(self, database: Database) -> State:
-        if _OBSERVER is not None:
-            _OBSERVER.node()
+        if _METRICS is not None:
+            _METRICS.counter("expr.nodes_evaluated").inc()
         inner = self.operand.evaluate(database)
         if is_empty_set(inner):
             return EMPTY_SET
@@ -467,8 +467,8 @@ class Derive(Expression):
         self._hash = hash(("Derive", operand, predicate, expression))
 
     def evaluate(self, database: Database) -> State:
-        if _OBSERVER is not None:
-            _OBSERVER.node()
+        if _METRICS is not None:
+            _METRICS.counter("expr.nodes_evaluated").inc()
         inner = self.operand.evaluate(database)
         if is_empty_set(inner):
             return EMPTY_SET
@@ -552,9 +552,9 @@ class Rollback(Expression):
         self._hash = hash(("Rollback", identifier, numeral))
 
     def evaluate(self, database: Database) -> State:
-        if _OBSERVER is not None:
-            _OBSERVER.node()
-            _OBSERVER.rollback()
+        if _METRICS is not None:
+            _METRICS.counter("expr.nodes_evaluated").inc()
+            _METRICS.counter("expr.rollback_evaluations").inc()
         # ``relation`` is duck-typed: a core Relation or any view exposing
         # rtype and find_state (e.g. a storage-backend relation view).
         relation: Relation = database.require(self.identifier)
@@ -782,19 +782,19 @@ def evaluate_memoized(expression: Expression, database: Database):
         # third-party node), and must still count as exactly one hit.
         cached = cache.get(node, _MEMO_MISSING)
         if cached is not _MEMO_MISSING:
-            if _OBSERVER is not None:
-                _OBSERVER.memo_hit()
+            if _METRICS is not None:
+                _METRICS.counter("expr.memo_hits").inc()
             return cached
-        if _OBSERVER is not None:
-            _OBSERVER.memo_miss()
+        if _METRICS is not None:
+            _METRICS.counter("expr.memo_misses").inc()
         if isinstance(node, _COMPOSITE_NODES):
             operands = [walk(child) for child in node.children()]
-            if _OBSERVER is not None:
-                _OBSERVER.node()
+            if _METRICS is not None:
+                _METRICS.counter("expr.nodes_evaluated").inc()
             result = apply_node(node, operands, database)
         else:
-            # leaves and unknown node types count themselves (their
-            # ``evaluate`` fires the observer hook)
+            # leaves and unknown node types count themselves (in their
+            # ``evaluate``)
             result = node.evaluate(database)
         cache[node] = result
         return result

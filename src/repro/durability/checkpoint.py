@@ -55,7 +55,7 @@ from repro.core.relation import Relation, RelationType
 from repro.durability.files import FileStore
 from repro.historical.state import HistoricalState
 from repro.historical.tuples import HistoricalTuple
-from repro.obsv import hooks as _hooks
+from repro.obsv import registry as _obsv
 from repro.persistence.json_codec import (
     _periods_from_list,
     _periods_to_list,
@@ -350,9 +350,10 @@ class CheckpointWriter:
         name = checkpoint_name(lsn)
         store.replace(name, data)
         self._segments, self._sealed, self._dead = segments, sealed, dead
-        observer = _hooks.wal_observer()
-        if observer is not None:
-            observer.checkpointed(written + len(data))
+        if _obsv.enabled():
+            registry = _obsv.get()
+            registry.counter("wal.checkpoints_written").inc()
+            registry.counter("wal.checkpoint_bytes").inc(written + len(data))
         return name
 
 
@@ -534,9 +535,8 @@ def load_checkpoint(store: FileStore) -> Optional[Checkpoint]:
         try:
             return _load(store, name)
         except StorageError:
-            observer = _hooks.wal_observer()
-            if observer is not None:
-                observer.invalid_checkpoint()
+            if _obsv.enabled():
+                _obsv.get().counter("wal.checkpoints_invalid_skipped").inc()
     return None
 
 

@@ -40,7 +40,7 @@ from repro.durability.checkpoint import CheckpointWriter, load_checkpoint
 from repro.durability.codec import decode_record
 from repro.durability.files import FileStore
 from repro.durability.wal import FsyncPolicy, WriteAheadLog
-from repro.obsv import hooks as _hooks
+from repro.obsv import registry as _obsv
 
 __all__ = ["RecoveryResult", "recover"]
 
@@ -115,9 +115,11 @@ def recover(
             )
         replayed += 1
     seconds = time.perf_counter() - start
-    observer = _hooks.wal_observer()
-    if observer is not None:
-        observer.recovered(replayed, seconds)
+    if _obsv.enabled():
+        registry = _obsv.get()
+        registry.counter("wal.recoveries").inc()
+        registry.histogram("wal.recovery_replay_length").observe(replayed)
+        registry.histogram("wal.recovery_seconds").observe(seconds)
     return RecoveryResult(
         database, base_lsn, replayed, wal.last_lsn, seconds, writer
     )

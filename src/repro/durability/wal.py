@@ -39,7 +39,6 @@ from typing import Iterator, Optional, Union
 
 from repro.errors import StreamGapError, WalError
 from repro.durability.files import FileStore
-from repro.obsv import hooks as _hooks
 from repro.obsv import registry as _obsv
 
 __all__ = ["FsyncPolicy", "WriteAheadLog", "SEGMENT_PREFIX", "SEGMENT_SUFFIX"]
@@ -269,9 +268,10 @@ class WriteAheadLog:
         segment.offsets.append(segment.size)
         segment.size += len(frame)
         self._pending += 1
-        observer = _hooks.wal_observer()
-        if observer is not None:
-            observer.appended(len(frame))
+        if _obsv.enabled():
+            registry = _obsv.get()
+            registry.counter("wal.records_appended").inc()
+            registry.counter("wal.bytes_appended").inc(len(frame))
         if self.policy.should_sync(
             self._pending, time.monotonic() - self._last_sync
         ):
@@ -285,9 +285,8 @@ class WriteAheadLog:
         self._store.sync(self._segments[-1].name)
         self._pending = 0
         self._last_sync = time.monotonic()
-        observer = _hooks.wal_observer()
-        if observer is not None:
-            observer.fsynced()
+        if _obsv.enabled():
+            _obsv.get().counter("wal.fsyncs").inc()
 
     def _next_lsn(self) -> int:
         return 1
@@ -302,9 +301,8 @@ class WriteAheadLog:
             # durability point, then start a fresh file
             if self._segments:
                 self.sync()
-                observer = _hooks.wal_observer()
-                if observer is not None:
-                    observer.rotated()
+                if _obsv.enabled():
+                    _obsv.get().counter("wal.segments_rotated").inc()
             segment = _Segment(_segment_name(lsn), lsn, [], 0)
             self._store.append(segment.name, b"")
             self._segments.append(segment)
@@ -413,17 +411,17 @@ class WriteAheadLog:
             segment = self._segments.pop(0)
             self._store.delete(segment.name)
             dropped += 1
-        observer = _hooks.wal_observer()
-        if observer is not None and dropped:
-            observer.compacted(dropped)
         if _obsv.enabled():
-            _obsv.get().gauge("wal.segments").set(len(self._segments))
+            registry = _obsv.get()
+            if dropped:
+                registry.counter("wal.compactions").inc()
+                registry.counter("wal.segments_dropped").inc(dropped)
+            registry.gauge("wal.segments").set(len(self._segments))
         return dropped
 
     # -- internal ---------------------------------------------------------
 
     @staticmethod
     def _note_torn(count: int) -> None:
-        observer = _hooks.wal_observer()
-        if observer is not None:
-            observer.torn(count)
+        if _obsv.enabled():
+            _obsv.get().counter("wal.torn_records_truncated").inc(count)

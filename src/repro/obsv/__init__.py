@@ -7,7 +7,11 @@ behaviour is *visible*.  This package makes it visible:
 
 * :mod:`repro.obsv.registry` — a process-local metrics registry
   (counters, gauges, histograms with monotonic-clock timers), off by
-  default behind a module-level switch and near-zero-cost when off;
+  default behind a module-level switch and near-zero-cost when off.
+  Every layer records the same way — ``if _obsv.enabled():
+  _obsv.get().counter(name).inc()`` — except the two core evaluation
+  modules, which do not import this package and read the registry
+  from their ``_METRICS`` slot instead;
 * :mod:`repro.obsv.instrumented` — :class:`InstrumentedBackend`, a
   transparent wrapper observing any ``StorageBackend`` without
   modification;

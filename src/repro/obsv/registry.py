@@ -12,7 +12,18 @@ Design constraints:
 * **Near-zero cost when disabled.**  Metrics are off by default.  The
   module-level switch swaps a :class:`NullRegistry` (every operation a
   no-op) for a real :class:`MetricsRegistry`; instrumented call sites
-  guard with :func:`enabled` — one module-global read and a branch.
+  guard with :func:`enabled` — one module-global read and a branch —
+  and then record through :func:`get`::
+
+      if _obsv.enabled():
+          _obsv.get().counter("wal.fsyncs").inc()
+
+  :mod:`repro.core.expressions` and :mod:`repro.core.compile` never
+  import this package, so :func:`enable` also sets their ``_METRICS``
+  slot to the registry (``None`` while disabled).
+* **Instruments are created on first use.**  A name nothing has
+  recorded under is absent from :meth:`MetricsRegistry.snapshot`;
+  readers treat an absent counter as 0.
 * **Process-local and dependency-free.**  Plain dictionaries of plain
   objects; :meth:`MetricsRegistry.snapshot` and
   :meth:`MetricsRegistry.to_json` export everything for benchmark
@@ -215,9 +226,8 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Zero every instrument *in place* (used between benchmark
-        phases).  Instrument object identity survives, so references
-        cached at enable time — e.g. the expression observer's counters
-        — keep recording into the registry afterwards."""
+        phases).  Instrument object identity survives, so a reference
+        held across the reset keeps recording into the registry."""
         for counter in self._counters.values():
             counter.value = 0
         for gauge in self._gauges.values():
@@ -315,8 +325,10 @@ def get() -> "MetricsRegistry | NullRegistry":
 
 def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
     """Switch metrics on, installing ``registry`` (or a fresh one) as the
-    process-wide sink, and hook the expression evaluator.  Returns the
-    active registry.  Idempotent when already enabled with no argument."""
+    process-wide sink and in the ``_METRICS`` slots of
+    :mod:`repro.core.expressions` and :mod:`repro.core.compile`.  Returns
+    the active registry.  Idempotent when already enabled with no
+    argument."""
     global _registry, _enabled
     if registry is None:
         registry = (
@@ -326,18 +338,18 @@ def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
         )
     _registry = registry
     _enabled = True
-    from repro.obsv import hooks
+    from repro.core import compile as engine, expressions
 
-    hooks.install(registry)
+    expressions._METRICS = engine._METRICS = registry
     return registry
 
 
 def disable() -> None:
-    """Switch metrics off: restore the no-op registry and unhook the
-    expression evaluator."""
+    """Switch metrics off: restore the no-op registry and clear the core
+    modules' ``_METRICS`` slots."""
     global _registry, _enabled
     _enabled = False
     _registry = _NULL_REGISTRY
-    from repro.obsv import hooks
+    from repro.core import compile as engine, expressions
 
-    hooks.uninstall()
+    expressions._METRICS = engine._METRICS = None

@@ -32,6 +32,7 @@ from repro.core.expressions import (
     Union,
     with_children,
 )
+from repro.obsv import registry as _obsv
 from repro.optimizer.cost import Stats, estimate_cost
 from repro.optimizer.rules import (
     CombineSelects,
@@ -45,11 +46,6 @@ from repro.optimizer.schema_inference import Catalog
 __all__ = ["CostGuidedRewriter", "Rewriter", "optimize", "optimize_with_cost"]
 
 _MAX_PASSES = 100
-
-#: Observability slot for the optimizer (``optimizer.*`` metrics),
-#: installed by :func:`repro.obsv.hooks.install`; ``None`` while metrics
-#: are disabled so the cost gate pays one load and an ``is None`` test.
-_OBSERVER = None
 
 
 class Rewriter:
@@ -183,7 +179,6 @@ class CostGuidedRewriter:
 
     def rewrite(self, expression: Expression) -> Expression:
         """Return the cheapest plan found; never costlier than the input."""
-        observer = _OBSERVER
         self.trace = []
         best = expression
         best_cost = estimate_cost(expression, self._stats)
@@ -203,24 +198,35 @@ class CostGuidedRewriter:
             cost = estimate_cost(candidate, self._stats)
             accepted = cost < best_cost
             self.trace.append(("fixpoint", best_cost, cost, accepted))
-            if observer is not None:
-                observer.rewrite(accepted)
             if accepted:
                 best, best_cost = candidate, cost
 
         # Phase 2: greedy single-rule hill climbing (first improvement).
         for _ in range(_MAX_PASSES):
-            step = self._improve_once(best, best_cost, observer)
+            step = self._improve_once(best, best_cost)
             if step is None:
                 break
             best, best_cost = step
 
         self.final_cost = best_cost
-        if observer is not None:
-            observer.optimized(self.baseline_cost, best_cost)
+        if _obsv.enabled():
+            # the trace holds every candidate priced against the gate
+            considered = len(self.trace)
+            accepted = sum(1 for *_, kept in self.trace if kept)
+            registry = _obsv.get()
+            registry.counter("optimizer.plans_optimized").inc()
+            registry.counter("optimizer.rewrites_considered").inc(considered)
+            registry.counter("optimizer.rewrites_accepted").inc(accepted)
+            registry.counter("optimizer.rewrites_rejected").inc(
+                considered - accepted
+            )
+            if self.baseline_cost > 0:
+                registry.histogram("optimizer.cost_ratio").observe(
+                    best_cost / self.baseline_cost
+                )
         return best
 
-    def _improve_once(self, best, best_cost, observer):
+    def _improve_once(self, best, best_cost):
         """Try every (node, rule) pair; commit the first cost drop."""
         for node in _postorder(best):
             for rule in self._greedy_rules:
@@ -234,8 +240,6 @@ class CostGuidedRewriter:
                 cost = estimate_cost(candidate, self._stats)
                 accepted = cost < best_cost
                 self.trace.append((rule.name, best_cost, cost, accepted))
-                if observer is not None:
-                    observer.rewrite(accepted)
                 if accepted:
                     return candidate, cost
         return None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.errors import DivergenceError, ReplicationError
 from repro.durability.durable import DurableDatabase
-from repro.obsv import hooks as _hooks
+from repro.obsv import registry as _obsv
 
 __all__ = ["promote"]
 
@@ -51,7 +51,6 @@ def promote(replica, *, checkpoint: bool = True) -> DurableDatabase:
         # raises -> the replica is still a follower, nothing changed
         replica.durable.checkpoint()
     durable = replica._detach()
-    observer = _hooks.repl_observer()
-    if observer is not None:
-        observer.promoted()
+    if _obsv.enabled():
+        _obsv.get().counter("repl.promotions").inc()
     return durable

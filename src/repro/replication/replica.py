@@ -61,7 +61,7 @@ from repro.durability.durable import DurableDatabase
 from repro.durability.faults import MemoryStore
 from repro.durability.files import FileStore
 from repro.durability.wal import FsyncPolicy
-from repro.obsv import hooks as _hooks
+from repro.obsv import registry as _obsv
 from repro.replication.retry import RetryPolicy
 from repro.replication.stream import (
     DEFAULT_BATCH_RECORDS,
@@ -166,9 +166,8 @@ class Replica:
         """How many records behind the primary's published tail this
         replica is (0 when caught up or ahead of a rebased primary)."""
         lag = max(0, self._stream.last_lsn() - self.applied_lsn)
-        observer = _hooks.repl_observer()
-        if observer is not None:
-            observer.lag(lag)
+        if _obsv.enabled():
+            _obsv.get().histogram("repl.lag_records").observe(lag)
         return lag
 
     def caught_up(self) -> bool:
@@ -207,9 +206,10 @@ class Replica:
                 no_retry_on=(DivergenceError,),
                 describe="replica catch-up round",
             )
-        observer = _hooks.repl_observer()
-        if observer is not None:
-            observer.caught_up(time.perf_counter() - start)
+        if _obsv.enabled():
+            _obsv.get().histogram("repl.catchup_seconds").observe(
+                time.perf_counter() - start
+            )
         return total
 
     def _sync_round(self, target: int) -> int:
@@ -222,9 +222,8 @@ class Replica:
                 self.applied_lsn, self._batch_records
             )
         except StreamGapError as gap:
-            observer = _hooks.repl_observer()
-            if observer is not None:
-                observer.gap()
+            if _obsv.enabled():
+                _obsv.get().counter("repl.gaps_detected").inc()
             if gap.compacted:
                 self._resnapshot()
                 return 0
@@ -238,7 +237,6 @@ class Replica:
         return applied
 
     def _apply_batch(self, batch: list[tuple[int, bytes]]) -> int:
-        observer = _hooks.repl_observer()
         start = time.perf_counter()
         applied = 0
         try:
@@ -247,12 +245,12 @@ class Replica:
                 if lsn <= last:
                     # duplicate delivery: the record is already part of
                     # the replica's history — skipping is idempotence
-                    if observer is not None:
-                        observer.duplicate()
+                    if _obsv.enabled():
+                        _obsv.get().counter("repl.duplicates_skipped").inc()
                     continue
                 if lsn != last + 1:
-                    if observer is not None:
-                        observer.gap()
+                    if _obsv.enabled():
+                        _obsv.get().counter("repl.gaps_detected").inc()
                     raise StreamGapError(
                         f"delivery skipped LSNs {last + 1}..{lsn - 1}; "
                         "re-fetching",
@@ -269,8 +267,8 @@ class Replica:
                 database = self._durable.execute(command)
                 if database.transaction_number != txn:
                     self._diverged = True
-                    if observer is not None:
-                        observer.diverged()
+                    if _obsv.enabled():
+                        _obsv.get().counter("repl.divergences_detected").inc()
                     raise DivergenceError(
                         f"replica diverged at LSN {lsn}: the record "
                         f"committed transaction {txn} on the primary "
@@ -279,8 +277,12 @@ class Replica:
                     )
                 applied += 1
         finally:
-            if observer is not None:
-                observer.applied(applied, time.perf_counter() - start)
+            if _obsv.enabled():
+                registry = _obsv.get()
+                registry.counter("repl.records_applied").inc(applied)
+                registry.histogram("repl.apply_seconds").observe(
+                    time.perf_counter() - start
+                )
         return applied
 
     # -- re-snapshotting ---------------------------------------------------
@@ -310,9 +312,8 @@ class Replica:
             checkpoint_every=self._checkpoint_every,
             backend=backend if backend is not None else self._backend,
         )
-        observer = _hooks.repl_observer()
-        if observer is not None:
-            observer.resnapshotted()
+        if _obsv.enabled():
+            _obsv.get().counter("repl.resnapshots").inc()
 
     def resync(
         self, stream: Optional[ReplicationStream] = None
@@ -431,18 +432,17 @@ class Replica:
             return
         lag = self.lag()
         if lag > self._max_lag:
-            observer = _hooks.repl_observer()
             if self._on_stale == "reject":
-                if observer is not None:
-                    observer.stale_read(served=False)
+                if _obsv.enabled():
+                    _obsv.get().counter("repl.stale_reads_rejected").inc()
                 raise StaleReadError(
                     f"replica is {lag} records behind the primary, "
                     f"over the configured max_lag={self._max_lag}",
                     lag=lag,
                     max_lag=self._max_lag,
                 )
-            if observer is not None:
-                observer.stale_read(served=True)
+            if _obsv.enabled():
+                _obsv.get().counter("repl.stale_reads_served").inc()
 
     def __repr__(self) -> str:
         status = (

@@ -28,7 +28,7 @@ import time
 from typing import Callable, Iterator, Optional, Tuple, Type
 
 from repro.errors import ReplicationError, RetryExhaustedError
-from repro.obsv import hooks as _hooks
+from repro.obsv import registry as _obsv
 
 __all__ = ["RetryPolicy"]
 
@@ -147,9 +147,8 @@ class RetryPolicy:
                 if no_retry_on and isinstance(error, no_retry_on):
                     raise
                 last_error = error
-                observer = _hooks.repl_observer()
-                if observer is not None:
-                    observer.transient_error()
+                if _obsv.enabled():
+                    _obsv.get().counter("repl.transient_errors").inc()
                 if attempt == self.max_attempts:
                     break
                 delay = next(delays)
@@ -158,8 +157,12 @@ class RetryPolicy:
                     and self._clock() - start + delay > self.deadline
                 ):
                     break
-                if observer is not None:
-                    observer.retried(delay)
+                if _obsv.enabled():
+                    registry = _obsv.get()
+                    registry.counter("repl.retries").inc()
+                    registry.histogram("repl.retry_sleep_seconds").observe(
+                        delay
+                    )
                 if delay > 0:
                     self._sleep(delay)
         elapsed = self._clock() - start

@@ -32,7 +32,7 @@ from repro.core.database import Database
 from repro.durability.checkpoint import latest_checkpoint
 from repro.durability.durable import DurableDatabase
 from repro.durability.faults import FaultPlan
-from repro.obsv import hooks as _hooks
+from repro.obsv import registry as _obsv
 
 __all__ = ["ReplicationStream", "PrimaryStream", "FaultyStream"]
 
@@ -93,9 +93,10 @@ class PrimaryStream(ReplicationStream):
         self, after_lsn: int, limit: int = DEFAULT_BATCH_RECORDS
     ) -> list[tuple[int, bytes]]:
         batch = self._primary.wal.read_from(after_lsn + 1, limit=limit)
-        observer = _hooks.repl_observer()
-        if observer is not None:
-            observer.fetched(len(batch))
+        if _obsv.enabled():
+            registry = _obsv.get()
+            registry.counter("repl.batches_fetched").inc()
+            registry.histogram("repl.batch_records").observe(len(batch))
         return batch
 
     def snapshot(self) -> tuple[int, Database]:

@@ -165,6 +165,7 @@ class ReproServer:
         self._draining = False
         self.connections_opened = 0
         self.connections_closed = 0
+        self.protocol_errors = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -274,6 +275,9 @@ class ReproServer:
                     ]
                 except ProtocolError as error:
                     # framing is unrecoverable: report and hang up
+                    self.protocol_errors += 1
+                    if _obsv.enabled():
+                        _obsv.get().counter("server.protocol_errors").inc()
                     await self._send(
                         connection,
                         protocol.response(
@@ -607,6 +611,7 @@ class ReproServer:
         snapshot["server.connections_open"] = len(self._connections)
         snapshot["server.connections_opened"] = self.connections_opened
         snapshot["server.connections_closed"] = self.connections_closed
+        snapshot["server.protocol_errors"] = self.protocol_errors
         snapshot["server.transaction_number"] = (
             self.store.transaction_number
         )

@@ -35,7 +35,7 @@ from repro.core.expressions import (
     with_children,
 )
 from repro.core.txn import Numeral, is_now
-from repro.obsv import hooks as _hooks
+from repro.obsv import registry as _obsv
 
 __all__ = ["ScatterGatherRouter"]
 
@@ -125,18 +125,16 @@ class ScatterGatherRouter:
             # constant-only subtrees evaluate on shard 0: Const leaves
             # ignore the database, so any shard answers identically
             target = next(iter(shards)) if shards else 0
-            observer = _hooks.shard_observer()
-            if observer is not None:
-                observer.subquery()
+            if _obsv.enabled():
+                _obsv.get().counter("shard.subqueries_routed").inc()
             return self._evaluate_on_shard(
                 target, self.localize(expression, target)
             )
         operands = [
             self.evaluate(child) for child in expression.children()
         ]
-        observer = _hooks.shard_observer()
-        if observer is not None:
-            observer.merge()
+        if _obsv.enabled():
+            _obsv.get().counter("shard.merges").inc()
         # merging is pure — apply_node only consults the database for
         # leaves, and leaves are always single-shard (handled above)
         return apply_node(expression, operands, None)

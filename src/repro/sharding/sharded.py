@@ -64,7 +64,7 @@ from repro.core.txn import NOW, Numeral, TransactionNumber, is_now
 from repro.durability import DurableDatabase, MemoryStore
 from repro.durability.codec import command_from_dict, decode_record
 from repro.durability.files import DirectoryStore, FileStore
-from repro.obsv import hooks as _hooks
+from repro.obsv import registry as _obsv
 from repro.sharding.journal import CoordinatorJournal
 from repro.sharding.partition import HashPartitioner, Partitioner
 from repro.sharding.router import ScatterGatherRouter
@@ -542,7 +542,6 @@ class ShardedDatabase:
         return True
 
     def _execute_define(self, command: DefineRelation) -> None:
-        observer = _hooks.shard_observer()
         owner = self._owner.get(command.identifier)
         if owner is not None:
             # already bound: the paper's no-op (or a strict-mode raise)
@@ -553,8 +552,8 @@ class ShardedDatabase:
                 if not hasattr(error, "shard_index"):
                     error.shard_index = owner
                 raise
-            if observer is not None:
-                observer.noop()
+            if _obsv.enabled():
+                _obsv.get().counter("shard.commands_noop").inc()
             return
         owner = self._partitioner.shard_for(
             command.identifier, len(self._shards)
@@ -563,16 +562,15 @@ class ShardedDatabase:
             owner, "define", command.identifier, command
         )
         if not applied:
-            if observer is not None:
-                observer.noop()
+            if _obsv.enabled():
+                _obsv.get().counter("shard.commands_noop").inc()
             return
         self._owner[command.identifier] = owner
         self._txn += 1
-        if observer is not None:
-            observer.routed()
+        if _obsv.enabled():
+            _obsv.get().counter("shard.commands_routed").inc()
 
     def _execute_modify(self, command: ModifyState) -> None:
-        observer = _hooks.shard_observer()
         owner = self._owner.get(command.identifier)
         bound = (
             owner is not None
@@ -587,8 +585,8 @@ class ShardedDatabase:
                 raise CommandError(
                     f"modify_state: {command.identifier!r} is not defined"
                 )
-            if observer is not None:
-                observer.noop()
+            if _obsv.enabled():
+                _obsv.get().counter("shard.commands_noop").inc()
             return
         touched = self._router.shards_of(command.expression)
         if touched <= {owner}:
@@ -604,8 +602,8 @@ class ShardedDatabase:
             applied = self._journal_execute(
                 owner, "modify", command.identifier, shipped
             )
-            if observer is not None:
-                observer.routed()
+            if _obsv.enabled():
+                _obsv.get().counter("shard.commands_routed").inc()
         else:
             # cross-shard expression: scatter-gather the value at the
             # coordinator, then ship it as a constant state
@@ -627,8 +625,8 @@ class ShardedDatabase:
                     strict=command.strict,
                 ),
             )
-            if observer is not None:
-                observer.coordinated()
+            if _obsv.enabled():
+                _obsv.get().counter("shard.commands_coordinated").inc()
         if not applied:
             return
         self._txn += 1
@@ -640,9 +638,16 @@ class ShardedDatabase:
         """Scatter-gather evaluation of a side-effect-free expression,
         observationally equal to evaluating it on the unsharded
         database."""
-        observer = _hooks.shard_observer()
-        if observer is not None:
-            observer.query(self._router.fanout(expression))
+        if _obsv.enabled():
+            fanout = self._router.fanout(expression)
+            registry = _obsv.get()
+            registry.counter("shard.queries").inc()
+            registry.histogram("shard.query_fanout").observe(fanout)
+            registry.counter(
+                "shard.queries_scattered"
+                if fanout > 1
+                else "shard.queries_single_shard"
+            ).inc()
         return self._router.evaluate(expression)
 
     def state_at(self, identifier: str, txn: TransactionNumber):
@@ -798,13 +803,20 @@ class ShardedDatabase:
             if target == source:
                 continue
             self._move(identifier, source, target, report)
-        observer = _hooks.shard_observer()
-        if observer is not None:
-            observer.rebalanced(
-                wal_replayed=report.wal_replayed,
-                state_copied=report.state_copied,
-                repaired=report.stale_repaired,
-                seconds=time.monotonic() - started,
+        if _obsv.enabled():
+            registry = _obsv.get()
+            registry.counter("shard.rebalances").inc()
+            registry.counter("shard.moves_wal_replayed").inc(
+                report.wal_replayed
+            )
+            registry.counter("shard.moves_state_copied").inc(
+                report.state_copied
+            )
+            registry.counter("shard.moves_stale_repaired").inc(
+                report.stale_repaired
+            )
+            registry.histogram("shard.rebalance_seconds").observe(
+                time.monotonic() - started
             )
         self.meta_checkpoint()
         return report

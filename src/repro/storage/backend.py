@@ -280,8 +280,11 @@ class StorageBackend:
                     replay_length
                 )
             if checkpoint_hit is not None:
-                name = "checkpoint_hits" if checkpoint_hit else "checkpoint_misses"
-                registry.counter(f"{prefix}.{name}").inc()
+                registry.counter(
+                    f"{prefix}.checkpoint_hits"
+                    if checkpoint_hit
+                    else f"{prefix}.checkpoint_misses"
+                ).inc()
 
     # -- shared validation -------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Tests for the durable integration surface: Session(durable_dir=...),
 the VersionedDatabase mirror, DirectoryStore on a real filesystem, and
-WAL metrics through the observability hooks."""
+WAL metrics through the metrics registry."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.core.txn import NOW
 from repro.durability import DurableDatabase, MemoryStore
 from repro.durability.files import DirectoryStore
 from repro.lang.session import Session
-from repro.obsv import hooks
+from repro.obsv import registry as obsv_registry
 from repro.obsv.registry import MetricsRegistry
 from repro.storage import DeltaBackend, FullCopyBackend
 from repro.storage.versioned_db import VersionedDatabase, backends_agree
@@ -190,8 +190,7 @@ class TestStateAt:
 
 class TestWalMetrics:
     def test_wal_metrics_flow_through_hooks(self, workload):
-        registry = MetricsRegistry()
-        hooks.install(registry)
+        registry = obsv_registry.enable(MetricsRegistry())
         published = []
 
         class PublishingStore(MemoryStore):
@@ -212,7 +211,7 @@ class TestWalMetrics:
             ddb.close()
             DurableDatabase(store).close()
         finally:
-            hooks.uninstall()
+            obsv_registry.disable()
         snapshot = registry.snapshot()
         counters = snapshot["counters"]
         assert counters["wal.records_appended"] == 50
@@ -226,8 +225,8 @@ class TestWalMetrics:
         assert "wal.recovery_seconds" in snapshot["histograms"]
 
     def test_no_observer_no_metrics(self, workload):
-        assert hooks.wal_observer() is None
+        assert not obsv_registry.enabled()
         ddb = DurableDatabase(MemoryStore(), fsync="always")
         for command in workload[:5]:
             ddb.execute(command)
-        assert hooks.wal_observer() is None
+        assert obsv_registry.get().snapshot()["counters"] == {}

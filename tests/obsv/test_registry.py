@@ -130,15 +130,16 @@ class TestSwitch:
         assert isinstance(obsv_registry.get(), NullRegistry)
 
     def test_enable_installs_expression_observer(self):
-        from repro.core import expressions
+        from repro.core import compile as engine, expressions
 
-        assert expressions._OBSERVER is None
-        obsv_registry.enable()
+        assert expressions._METRICS is None and engine._METRICS is None
+        registry = obsv_registry.enable()
         try:
-            assert expressions._OBSERVER is not None
+            assert expressions._METRICS is registry
+            assert engine._METRICS is registry
         finally:
             obsv_registry.disable()
-        assert expressions._OBSERVER is None
+        assert expressions._METRICS is None and engine._METRICS is None
 
     def test_enable_with_explicit_registry(self):
         mine = MetricsRegistry()

@@ -354,7 +354,7 @@ class TestOptimizerMetrics:
         assert (
             counters["optimizer.rewrites_considered"]
             == counters["optimizer.rewrites_accepted"]
-            + counters["optimizer.rewrites_rejected"]
+            + counters.get("optimizer.rewrites_rejected", 0)
         )
         ratio = snapshot["histograms"]["optimizer.cost_ratio"]
         assert ratio["count"] == 1

@@ -1,9 +1,9 @@
-"""repl.* metrics flow through the observability hooks — and stay
-completely absent when no observer is installed."""
+"""repl.* metrics flow through the metrics registry — and stay
+completely absent while metrics are disabled."""
 
 from repro.durability import DurableDatabase, MemoryStore
 from repro.durability.faults import FaultPlan
-from repro.obsv import hooks
+from repro.obsv import registry as obsv_registry
 from repro.obsv.registry import MetricsRegistry
 from repro.replication import (
     FaultyStream,
@@ -44,12 +44,11 @@ def _run_replicated_workload():
 
 
 def test_repl_metrics_flow_through_hooks():
-    registry = MetricsRegistry()
-    hooks.install(registry)
+    registry = obsv_registry.enable(MetricsRegistry())
     try:
         _run_replicated_workload()
     finally:
-        hooks.uninstall()
+        obsv_registry.disable()
     snapshot = registry.snapshot()
     counters = snapshot["counters"]
     assert counters["repl.records_applied"] == 60
@@ -65,6 +64,6 @@ def test_repl_metrics_flow_through_hooks():
 
 
 def test_no_observer_means_no_overhead_path():
-    assert hooks.repl_observer() is None
+    assert not obsv_registry.enabled()
     _run_replicated_workload()
-    assert hooks.repl_observer() is None
+    assert obsv_registry.get().snapshot()["counters"] == {}

@@ -20,6 +20,8 @@ from repro.errors import (
     UnknownRelationError,
 )
 from repro.lang.session import Session
+from repro.obsv import registry as obsv_registry
+from repro.obsv.registry import MetricsRegistry
 from repro.server import protocol
 from repro.server.client import ReproClient
 from repro.server.server import ReproServer, ServerConfig, ThreadedServer
@@ -167,6 +169,26 @@ class TestFramingBoundary:
             assert replies[0]["status"] == protocol.STATUS_ERROR
             assert replies[0]["error_type"] == "ProtocolError"
             assert "CRC" in replies[0]["error"]
+
+    def test_malformed_frame_is_counted(self, server):
+        frame = bytearray(
+            protocol.encode_message({"id": 1, "op": "ping"})
+        )
+        frame[-1] ^= 0xFF
+        registry = obsv_registry.enable(MetricsRegistry())
+        try:
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as sock:
+                sock.sendall(bytes(frame))
+                while sock.recv(65536):
+                    pass  # the error reply, then the hang-up
+            with ReproClient(server.host, server.port) as client:
+                assert client.metrics()["server.protocol_errors"] == 1
+        finally:
+            obsv_registry.disable()
+        counters = registry.snapshot()["counters"]
+        assert counters["server.protocol_errors"] == 1
 
     def test_oversized_announced_frame_closes_connection(self):
         config = ServerConfig(port=0, max_frame=1024)
