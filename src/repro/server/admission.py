@@ -83,7 +83,7 @@ class AdmissionController:
         self.per_connection = per_connection
         #: Requests admitted but not yet finished (queued + executing).
         self.depth = 0
-        #: Requests currently executing in a worker.
+        #: Requests currently executing, in place or in a worker.
         self.inflight = 0
         self._per_conn: dict[int, int] = {}
         self._shedding = False
@@ -136,7 +136,7 @@ class AdmissionController:
     # -- lifecycle of an admitted request ------------------------------------
 
     def start(self) -> None:
-        """A worker began executing an admitted request."""
+        """Execution of an admitted request began."""
         self.inflight += 1
         if _obsv.enabled():
             _obsv.get().gauge("server.inflight").set(self.inflight)
@@ -153,7 +153,7 @@ class AdmissionController:
 
         ``outcome`` is one of ``completed`` / ``error`` / ``killed`` /
         ``expired`` / ``orphaned`` / ``degraded``; ``executed`` says
-        whether a worker slot was occupied (and must be released).
+        whether ``start`` was called (its slot must be released).
         """
         self.depth -= 1
         remaining = self._per_conn.get(connection_id, 0) - 1

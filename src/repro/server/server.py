@@ -2,22 +2,28 @@
 
 Request lifecycle::
 
-    client ──frame──▶ connection handler ──try_admit──▶ request queue
-                           │        ╲ shed: queue_full / shutting_down
-                           │
-    worker pool (N tasks) ◀┘  pop → deadline check → execute → respond
-                               ╲ expired in queue: deadline
-                               ╲ wait_for timeout:  deadline (killed)
-                               ╲ dead connection:   orphaned (slot freed)
+    client ──frame──▶ read callback ──try_admit──┐
+                        ╲ shed: queue_full /     │
+                          shutting_down          │
+          ┌──────────────────────────────────────┤
+          ▼                                      ▼
+    idle: answer in place              must wait (stall_ms, or work
+    deadline → execute → encode →      admitted ahead): request queue →
+    finish → write                     worker pop → deadline → stall →
+                                       the same answer
+                                         ╲ expired in queue: deadline
+                                         ╲ wait_for timeout: killed
+                                         ╲ dead connection:  orphaned
 
-Admission keeps the queue bounded (watermark hysteresis, per-connection
-budgets — :mod:`repro.server.admission`); the worker pool bounds
-execution concurrency.  Execution itself is cooperative: a worker runs
-the (synchronous, CPU-bound) query under ``asyncio.wait_for``, so the
-kill fires at the next await point — immediately for requests stalled on
-simulated I/O (``stall_ms``, the debug hook load tests use to model slow
-queries) and before execution for requests whose deadline already
-expired while queued.
+A request with nothing to wait for is answered inside the transport
+callback that decoded it: decode, admit, execute, encode and write in
+one synchronous pass, with no task, future or scheduled callback.  The
+queue and the ``--workers`` tasks serve only requests that must wait —
+a ``stall_ms`` (the simulated-I/O debug hook load tests use to model
+slow queries, run under ``asyncio.wait_for`` so a deadline kills it),
+or admitted work still queued or running ahead of it.  Admission keeps
+the queue bounded (:mod:`repro.server.admission`), and the stream stops
+reading a connection whose replies pile up unread.
 
 Shutdown drains: the listener closes first, admitted requests finish
 (bounded by ``drain_timeout``), workers are then cancelled and the
@@ -46,7 +52,7 @@ from repro.obsv import registry as _obsv
 from repro.server import protocol
 from repro.server.admission import AdmissionController
 from repro.server.dedup import DedupTable
-from repro.server.store import ServerStore, SessionView
+from repro.server.store import ServerStore
 from repro.server.stream import FrameStream
 
 __all__ = ["ServerConfig", "ReproServer", "ThreadedServer", "serve_in_thread"]
@@ -107,18 +113,36 @@ class ServerConfig:
 
 
 class _Connection:
-    """Per-connection state: identity, liveness, write lock, read view."""
+    """Per-connection state — identity, liveness, read view — and the
+    sink its :class:`FrameStream` reports to."""
 
-    __slots__ = ("id", "stream", "alive", "view", "send_lock")
+    __slots__ = ("id", "server", "stream", "alive", "view")
 
     _ids = itertools.count(1)
 
-    def __init__(self, stream: FrameStream, view: SessionView) -> None:
+    def __init__(self, server: "ReproServer", stream: FrameStream) -> None:
         self.id = next(self._ids)
+        self.server = server
         self.stream = stream
         self.alive = True
-        self.view = view
-        self.send_lock = asyncio.Lock()
+        self.view = server.store.view()
+
+    def frame_received(self, payload: bytes) -> None:
+        self.server._receive(self, payload)
+
+    def framing_failed(self, error: ProtocolError) -> None:
+        self.server._refuse(self, error)
+
+    def eof_received(self) -> None:
+        self.close()
+
+    def connection_lost(self, error: Optional[Exception]) -> None:
+        self.server._lost(self)
+
+    def close(self) -> None:
+        """Hang up; requests still queued become orphans."""
+        self.alive = False
+        self.stream.close()
 
 
 @dataclass
@@ -160,7 +184,6 @@ class ReproServer:
         self._queue: "asyncio.Queue[_Request]" = asyncio.Queue()
         self._server: Optional[asyncio.base_events.Server] = None
         self._workers: list[asyncio.Task] = []
-        self._handlers: set[asyncio.Task] = set()
         self._connections: set[_Connection] = set()
         self._draining = False
         self.connections_opened = 0
@@ -182,7 +205,7 @@ class ReproServer:
 
     async def start(self) -> None:
         self._server = await asyncio.get_running_loop().create_server(
-            lambda: FrameStream(self.config.max_frame, self._accept),
+            lambda: FrameStream(self.config.max_frame, accept=self._accept),
             self.config.host,
             self.config.port,
             backlog=self.config.backlog,
@@ -239,101 +262,84 @@ class ReproServer:
             worker.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
         for connection in list(self._connections):
-            connection.alive = False
-            connection.stream.close()
+            connection.close()
         self._connections.clear()
         self.store.close()
 
     # -- connection handling --------------------------------------------------
+    #
+    # Everything here runs inside a transport callback, so nothing may
+    # raise out of it: asyncio would fatally close the connection.
 
-    def _accept(self, stream: FrameStream) -> None:
-        """A connection's transport is up: run its handler as a task
-        (held here, because the loop keeps tasks only weakly)."""
-        handler = asyncio.ensure_future(self._handle_connection(stream))
-        self._handlers.add(handler)
-        handler.add_done_callback(self._handlers.discard)
-
-    async def _handle_connection(self, stream: FrameStream) -> None:
-        connection = _Connection(stream, self.store.view())
+    def _accept(self, stream: FrameStream) -> _Connection:
+        connection = _Connection(self, stream)
         self._connections.add(connection)
         self.connections_opened += 1
         if _obsv.enabled():
             _obsv.get().counter("server.connections_opened").inc()
-        try:
-            while True:
-                # reading stops while decoded requests wait here unread
-                # (FrameStream pauses the transport): backpressure
-                try:
-                    payloads = await stream.read_frames()
-                    if not payloads:
-                        break
-                    messages = [
-                        protocol.validate_request(
-                            protocol.decode_message(payload)
-                        )
-                        for payload in payloads
-                    ]
-                except ProtocolError as error:
-                    # framing is unrecoverable: report and hang up
-                    self.protocol_errors += 1
-                    if _obsv.enabled():
-                        _obsv.get().counter("server.protocol_errors").inc()
-                    await self._send(
-                        connection,
-                        protocol.response(
-                            None,
-                            protocol.STATUS_ERROR,
-                            error=str(error),
-                            error_type="ProtocolError",
-                        ),
-                    )
-                    break
-                for message in messages:
-                    await self._admit(connection, message)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            connection.alive = False
-            self._connections.discard(connection)
-            self.connections_closed += 1
-            if _obsv.enabled():
-                _obsv.get().counter("server.connections_closed").inc()
-            stream.close()
-            await stream.wait_closed()
+        return connection
 
-    async def _admit(self, connection: _Connection, message: dict) -> None:
+    def _lost(self, connection: _Connection) -> None:
+        connection.alive = False
+        self._connections.discard(connection)
+        self.connections_closed += 1
+        if _obsv.enabled():
+            _obsv.get().counter("server.connections_closed").inc()
+
+    def _refuse(self, connection: _Connection, error: ProtocolError) -> None:
+        """A broken frame or a malformed request: report and hang up."""
+        self.protocol_errors += 1
+        if _obsv.enabled():
+            _obsv.get().counter("server.protocol_errors").inc()
+        self._reply(
+            connection,
+            None,
+            protocol.STATUS_ERROR,
+            error=str(error),
+            error_type="ProtocolError",
+        )
+        connection.close()
+
+    def _receive(self, connection: _Connection, payload: bytes) -> None:
+        try:
+            message = protocol.validate_request(
+                protocol.decode_message(payload)
+            )
+        except ProtocolError as error:
+            self._refuse(connection, error)
+            return
+        try:
+            self._admit(connection, message)
+        except Exception:  # pragma: no cover - defensive
+            connection.close()
+
+    def _admit(self, connection: _Connection, message: dict) -> None:
         request_id = message.get("id")
         op = message["op"]
         # control ops answer inline — no queue, and they keep working
         # while draining so operators can watch the drain
         if op == protocol.OP_PING:
-            await self._send(
+            self._reply(
                 connection,
-                protocol.response(
-                    request_id,
-                    protocol.STATUS_OK,
-                    txn=self.store.transaction_number,
-                ),
+                request_id,
+                protocol.STATUS_OK,
+                txn=self.store.transaction_number,
             )
             return
         if op == protocol.OP_METRICS:
-            await self._send(
+            self._reply(
                 connection,
-                protocol.response(
-                    request_id,
-                    protocol.STATUS_OK,
-                    metrics=self.metrics_snapshot(),
-                ),
+                request_id,
+                protocol.STATUS_OK,
+                metrics=self.metrics_snapshot(),
             )
             return
         if self._draining:
-            await self._send(
+            self._reply(
                 connection,
-                protocol.response(
-                    request_id,
-                    protocol.STATUS_SHUTDOWN,
-                    error="server is draining",
-                ),
+                request_id,
+                protocol.STATUS_SHUTDOWN,
+                error="server is draining",
             )
             return
         if op == protocol.OP_EXECUTE:
@@ -347,53 +353,47 @@ class ReproServer:
                 )
                 if verdict == "hit":
                     assert cached is not None
-                    await self._send(
+                    self._send(
                         connection,
                         dict(cached, id=request_id, replayed=True),
                     )
                     return
                 if verdict == "stale":
-                    await self._send(
+                    self._reply(
                         connection,
-                        protocol.response(
-                            request_id,
-                            protocol.STATUS_ERROR,
-                            error=(
-                                f"seq {message['seq']} already executed "
-                                "but its cached reply left the dedup "
-                                "window; refusing to re-apply"
-                            ),
-                            error_type="ServerError",
+                        request_id,
+                        protocol.STATUS_ERROR,
+                        error=(
+                            f"seq {message['seq']} already executed "
+                            "but its cached reply left the dedup "
+                            "window; refusing to re-apply"
                         ),
+                        error_type="ServerError",
                     )
                     return
             if self.store.fully_degraded:
                 # every shard is shedding writes: answer here instead
                 # of queueing work guaranteed to fail
                 self.admission.shed_degraded()
-                await self._send(
+                self._reply(
                     connection,
-                    protocol.response(
-                        request_id,
-                        protocol.STATUS_DEGRADED,
-                        error=(
-                            "every shard is degraded (no live "
-                            "primaries); writes are shed until the "
-                            "supervisor repairs the cluster"
-                        ),
-                        error_type="ClusterDegradedError",
+                    request_id,
+                    protocol.STATUS_DEGRADED,
+                    error=(
+                        "every shard is degraded (no live "
+                        "primaries); writes are shed until the "
+                        "supervisor repairs the cluster"
                     ),
+                    error_type="ClusterDegradedError",
                 )
                 return
         reason = self.admission.try_admit(connection.id)
         if reason is not None:
-            await self._send(
+            self._reply(
                 connection,
-                protocol.response(
-                    request_id,
-                    protocol.STATUS_QUEUE_FULL,
-                    error=f"request shed: {reason}",
-                ),
+                request_id,
+                protocol.STATUS_QUEUE_FULL,
+                error=f"request shed: {reason}",
             )
             return
         admitted_at = time.perf_counter()
@@ -403,11 +403,17 @@ class ReproServer:
             if deadline_ms is not None
             else None
         )
-        self._queue.put_nowait(
-            _Request(connection, message, admitted_at, deadline)
-        )
+        request = _Request(connection, message, admitted_at, deadline)
+        if (
+            self._stall_ms(message)
+            or not self._queue.empty()
+            or self.admission.inflight
+        ):
+            self._queue.put_nowait(request)
+        elif self._start(request):
+            self._complete(request)
 
-    # -- workers --------------------------------------------------------------
+    # -- requests that must wait ----------------------------------------------
 
     async def _worker(self) -> None:
         while True:
@@ -426,95 +432,99 @@ class ReproServer:
 
     async def _process(self, request: _Request) -> None:
         connection = request.connection
-        request_id = request.message.get("id")
         if not connection.alive:
             # the client hung up while this request was queued: release
             # the admission slot without occupying a worker
-            self.admission.finish(
-                connection.id,
-                admitted_at=request.admitted_at,
-                executed=False,
-                outcome="orphaned",
-            )
+            self._finish(request, "orphaned", executed=False)
             return
-        now = time.perf_counter()
-        if request.deadline is not None and now >= request.deadline:
-            self.admission.finish(
-                connection.id,
-                admitted_at=request.admitted_at,
-                executed=False,
-                outcome="expired",
-            )
-            await self._send(
-                connection,
-                protocol.response(
-                    request_id,
-                    protocol.STATUS_DEADLINE,
-                    error="deadline expired while queued",
-                ),
-            )
+        if not self._start(request):
             return
-        self.admission.start()
-        outcome = "completed"
-        try:
+        stall_ms = self._stall_ms(request.message)
+        if stall_ms:
             remaining = (
-                request.deadline - now
+                request.deadline - time.perf_counter()
                 if request.deadline is not None
                 else None
             )
-            reply = await asyncio.wait_for(
-                self._perform(request), remaining
-            )
-        except asyncio.TimeoutError:
-            outcome = "killed"
-            reply = protocol.response(
-                request_id,
-                protocol.STATUS_DEADLINE,
-                error="deadline expired mid-execution; query killed",
-            )
-        except ClusterDegradedError as error:
-            # before the ReproError arm: a shard with no live primary
-            # shed the write — transient, retryable, never cached
-            outcome = "degraded"
-            reply = protocol.response(
-                request_id,
-                protocol.STATUS_DEGRADED,
-                error=str(error),
-                error_type=type(error).__name__,
-            )
-        except ReproError as error:
-            outcome = "error"
-            reply = protocol.response(
-                request_id,
-                protocol.STATUS_ERROR,
-                error=str(error),
-                error_type=type(error).__name__,
-            )
-        except Exception as error:  # pragma: no cover - defensive
-            outcome = "error"
-            reply = protocol.response(
-                request_id,
-                protocol.STATUS_ERROR,
-                error=f"internal server error: {error}",
-                error_type="ServerError",
-            )
-        self.admission.finish(
-            connection.id,
-            admitted_at=request.admitted_at,
-            executed=True,
-            outcome=outcome,
-        )
-        await self._send(connection, reply)
-
-    async def _perform(self, request: _Request) -> dict:
-        message = request.message
-        request_id = message.get("id")
-        if self.config.debug_ops:
-            stall_ms = message.get("stall_ms")
-            if stall_ms:
+            try:
                 # simulated I/O: the cancellable await that wait_for
                 # kills on deadline, and that lets workers overlap
-                await asyncio.sleep(stall_ms / 1e3)
+                await asyncio.wait_for(
+                    asyncio.sleep(stall_ms / 1e3), remaining
+                )
+            except asyncio.TimeoutError:
+                self._finish(request, "killed")
+                self._reply(
+                    connection,
+                    request.message.get("id"),
+                    protocol.STATUS_DEADLINE,
+                    error="deadline expired mid-execution; query killed",
+                )
+                return
+        self._complete(request)
+
+    def _finish(
+        self, request: _Request, outcome: str, executed: bool = True
+    ) -> None:
+        self.admission.finish(
+            request.connection.id,
+            admitted_at=request.admitted_at,
+            executed=executed,
+            outcome=outcome,
+        )
+
+    def _stall_ms(self, message: dict) -> Optional[float]:
+        return message.get("stall_ms") if self.config.debug_ops else None
+
+    # -- answering ------------------------------------------------------------
+
+    def _start(self, request: _Request) -> bool:
+        """Start executing an admitted request — unless its deadline
+        passed before it could run: then answer ``deadline``."""
+        if request.deadline is None or time.perf_counter() < request.deadline:
+            self.admission.start()
+            return True
+        self._finish(request, "expired", executed=False)
+        self._reply(
+            request.connection,
+            request.message.get("id"),
+            protocol.STATUS_DEADLINE,
+            error="deadline expired while queued",
+        )
+        return False
+
+    def _complete(self, request: _Request) -> None:
+        """Answer a started request, finish it and write the reply.
+        The reply is encoded before ``finish``, so one too large for a
+        frame counts as the error its client receives."""
+        outcome = "completed"
+        try:
+            data = protocol.encode_message(
+                self._answer(request), self.config.max_frame
+            )
+        except Exception as error:
+            if not isinstance(error, ReproError):  # pragma: no cover
+                error = ServerError(f"internal server error: {error}")
+            # a shard with no live primary shed the write — transient,
+            # retryable, never cached
+            degraded = isinstance(error, ClusterDegradedError)
+            outcome = "degraded" if degraded else "error"
+            data = self._encode(
+                protocol.response(
+                    request.message.get("id"),
+                    protocol.STATUS_DEGRADED
+                    if degraded
+                    else protocol.STATUS_ERROR,
+                    error=str(error),
+                    error_type=type(error).__name__,
+                )
+            )
+        self._finish(request, outcome)
+        self._write(request.connection, data)
+
+    def _answer(self, request: _Request) -> dict:
+        message = request.message
+        request_id = message.get("id")
         op = message["op"]
         source = message.get("source", "")
         if op == protocol.OP_QUERY:
@@ -528,9 +538,9 @@ class ReproServer:
             seq = message.get("seq")
             if token is not None:
                 # check again at the last moment: the original may have
-                # been queued behind this retransmission.  No await
-                # separates this lookup from execute-and-record, so the
-                # pair is atomic under the event loop.
+                # been queued behind this retransmission.  Nothing
+                # yields between this lookup and execute-and-record, so
+                # the pair is atomic under the event loop.
                 verdict, cached = self.dedup.lookup(
                     token, seq, count_miss=False
                 )
@@ -577,16 +587,12 @@ class ReproServer:
             )
         raise ProtocolError(f"unhandled op {op!r}")  # pragma: no cover
 
-    async def _send(self, connection: _Connection, message: dict) -> None:
-        """Write one response; a failing write marks the connection dead
-        instead of propagating into the worker."""
-        if not connection.alive:
-            return
+    def _encode(self, message: dict) -> bytes:
         try:
-            data = protocol.encode_message(message, self.config.max_frame)
+            return protocol.encode_message(message, self.config.max_frame)
         except ProtocolError as error:
-            # result too large for one frame: degrade to an error reply
-            data = protocol.encode_message(
+            # too large for one frame: degrade to an error reply
+            return protocol.encode_message(
                 protocol.response(
                     message.get("id"),
                     protocol.STATUS_ERROR,
@@ -595,12 +601,24 @@ class ReproServer:
                 ),
                 self.config.max_frame,
             )
-        async with connection.send_lock:
-            try:
-                connection.stream.write(data)
-                await connection.stream.drain()
-            except (ConnectionError, OSError):
-                connection.alive = False
+
+    def _send(self, connection: _Connection, message: dict) -> None:
+        self._write(connection, self._encode(message))
+
+    def _reply(
+        self, connection: _Connection, request_id, status: str, **fields
+    ) -> None:
+        self._send(connection, protocol.response(request_id, status, **fields))
+
+    def _write(self, connection: _Connection, data: bytes) -> None:
+        """A failing write marks the connection dead instead of
+        raising into the read callback or the worker."""
+        if not connection.alive:
+            return
+        try:
+            connection.stream.write(data)
+        except (ConnectionError, OSError):
+            connection.alive = False
 
     # -- observation -----------------------------------------------------------
 

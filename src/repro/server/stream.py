@@ -10,9 +10,12 @@ incidental heap layout (a comment added to an unrelated module moved
 one buffer allocated when the connection is made, and the received
 slice goes straight to :meth:`~repro.server.protocol.FrameDecoder.feed`.
 
-The server and :class:`~repro.server.client.AsyncReproClient` both use
-it: ``await read_frames()`` for the payloads completed so far,
-``write`` + ``await drain()`` to send with flow control.
+:class:`~repro.server.client.AsyncReproClient` reads through it:
+``await read_frames()`` for the payloads completed so far, ``write`` +
+``await drain()`` to send with flow control.  The server instead gives
+each stream a sink, handed every frame inside the read callback that
+decoded it, and the stream stops reading while its transport is paused
+for writing.
 """
 
 from __future__ import annotations
@@ -32,18 +35,24 @@ READ_BYTES = 65536
 
 
 class FrameStream(asyncio.BufferedProtocol):
-    """Protocol half of one framed connection.  ``connected``, when
-    given, is called with the stream once its transport exists — the
-    server's accept hook.  Create it on the running event loop."""
+    """Protocol half of one framed connection.  Create it on the running
+    event loop.  Without ``accept`` frames wait for :meth:`read_frames`.
+    With it — the server's side — ``accept(stream)`` is called once the
+    transport exists and returns a sink, whose ``frame_received(payload)``
+    (each frame, in order), ``framing_failed(error)`` (reading then
+    stops for good), ``eof_received()`` and ``connection_lost(error)``
+    are called from inside the transport's callbacks."""
 
     def __init__(
         self,
         max_frame: int = MAX_FRAME_BYTES,
-        connected: "Optional[Callable[[FrameStream], None]]" = None,
+        accept: "Optional[Callable[[FrameStream], object]]" = None,
     ) -> None:
         self._decoder = FrameDecoder(max_frame)
         self._buffer = memoryview(bytearray(READ_BYTES))
-        self._connected = connected
+        self._accept = accept
+        self._sink = None
+        self._closing = False
         self._transport: Optional[asyncio.Transport] = None
         self._frames: list[bytes] = []
         self._queued = 0  # payload bytes in _frames
@@ -58,8 +67,8 @@ class FrameStream(asyncio.BufferedProtocol):
 
     def connection_made(self, transport) -> None:
         self._transport = transport
-        if self._connected is not None:
-            self._connected(self)
+        if self._accept is not None:
+            self._sink = self._accept(self)
 
     def get_buffer(self, sizehint: int) -> memoryview:
         return self._buffer
@@ -72,7 +81,15 @@ class FrameStream(asyncio.BufferedProtocol):
             # what shared its read is dropped with it
             self._error = error
             self._transport.pause_reading()
+            if self._sink is not None:
+                self._sink.framing_failed(error)
         else:
+            if self._sink is not None:
+                for payload in frames:
+                    if self._closing:
+                        break  # the sink hung up on an earlier frame
+                    self._sink.frame_received(payload)
+                return
             self._frames.extend(frames)
             self._queued += sum(map(len, frames))
             if self._queued > READ_BYTES:
@@ -82,6 +99,8 @@ class FrameStream(asyncio.BufferedProtocol):
     def eof_received(self) -> bool:
         self._eof = True
         self._readable.set()
+        if self._sink is not None:
+            self._sink.eof_received()
         return True  # the owner closes the transport, as with streams
 
     def connection_lost(self, error: Optional[Exception]) -> None:
@@ -91,12 +110,20 @@ class FrameStream(asyncio.BufferedProtocol):
         self._closed.set()
         self._readable.set()
         self._writable.set()
+        if self._sink is not None:
+            self._sink.connection_lost(error)
 
     def pause_writing(self) -> None:
         self._writable.clear()
+        if self._sink is not None:
+            # nobody awaits drain() in sink mode: stop taking requests
+            # until the peer reads the replies already buffered
+            self._transport.pause_reading()
 
     def resume_writing(self) -> None:
         self._writable.set()
+        if self._sink is not None and self._error is None:
+            self._transport.resume_reading()
 
     # -- the owner's side ---------------------------------------------------
 
@@ -128,6 +155,7 @@ class FrameStream(asyncio.BufferedProtocol):
             raise ConnectionResetError("connection lost")
 
     def close(self) -> None:
+        self._closing = True
         self._transport.close()
 
     async def wait_closed(self) -> None:

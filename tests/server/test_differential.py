@@ -10,11 +10,13 @@ divergence is reproducible from the printed ``REPRO_TEST_SEED``."""
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
 
 from repro.lang.session import Session
+from repro.server import protocol
 from repro.server.client import ReproClient
 from repro.server.loadgen import oracle_digests
 from repro.server.server import ServerConfig, ThreadedServer
@@ -147,6 +149,68 @@ def test_concurrent_clients_against_durable_backing(tmp_path, test_seed):
         for index, workload in enumerate(workloads):
             texts, _ = results[index]
             assert texts == _oracle_texts(workload)
+
+
+def test_in_place_and_queued_answers_agree(test_seed):
+    """Both request paths against the oracle: a seeded share of
+    requests carries a small stall and goes through the queue, which
+    sends whatever arrives behind it there too; the rest are answered
+    in the read callback."""
+    clients = 4
+    workloads = [
+        SentenceWorkload(
+            seed=(test_seed + 7919 * index) % 2**31,
+            namespace=f"m{index}",
+            length=20,
+            read_fraction=0.6,
+        )
+        for index in range(clients)
+    ]
+    results: "list[tuple]" = [None] * clients
+    errors: "list[Exception]" = []
+    config = ServerConfig(port=0, workers=2, queue_high=256, debug_ops=True)
+    ops = {EXECUTE: protocol.OP_EXECUTE, QUERY: protocol.OP_QUERY}
+
+    def run(server, index):
+        stalls = random.Random(test_seed * 31 + index)
+        texts, txns = [], []
+        try:
+            with ReproClient(server.host, server.port, timeout=60.0) as c:
+                for kind, source in workloads[index].items():
+                    stall_ms = stalls.choice((None, None, None, 1, 3))
+                    reply = c._request(
+                        c._message(ops[kind], source, stall_ms=stall_ms)
+                    )
+                    if kind == EXECUTE:
+                        txns.append(reply["txn"])
+                    else:
+                        texts.append(reply["result"])
+            results[index] = texts, txns
+        except Exception as error:  # pragma: no cover - reported below
+            errors.append(error)
+
+    with ThreadedServer(config) as server:
+        threads = [
+            threading.Thread(target=run, args=(server, index))
+            for index in range(clients)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        metrics = server.metrics()
+    assert not errors, errors
+    for index, workload in enumerate(workloads):
+        texts, txns = results[index]
+        assert texts == _oracle_texts(workload), (
+            f"client {index} diverged from the oracle"
+        )
+        assert txns == sorted(txns) and len(set(txns)) == len(txns)
+    assert metrics["server.accepted"] == (
+        metrics["server.completed"] + metrics["server.errors"]
+    )
+    assert metrics["server.queue_depth"] == 0
+    assert metrics["server.inflight"] == 0
 
 
 def test_oracle_digests_match_oracle_texts(test_seed):

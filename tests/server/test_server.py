@@ -210,6 +210,25 @@ class TestFramingBoundary:
                 )
                 assert reply["error_type"] == "ProtocolError"
 
+    def test_reply_too_large_for_a_frame_counts_as_an_error(self):
+        """The client gets a ProtocolError for a result that does not
+        fit one frame, and the server counts the same outcome."""
+        config = ServerConfig(port=0, max_frame=1024)
+        with ThreadedServer(config) as handle:
+            with ReproClient(handle.host, handle.port) as client:
+                client.execute("define_relation(r, rollback)")
+                for i in range(60):
+                    client.execute(
+                        "modify_state(r, rollback(r, now) union "
+                        f'state (s: string) {{ ("{i:020d}") }})'
+                    )
+                with pytest.raises(RemoteError, match="exceeds") as excinfo:
+                    client.query("rollback(r, now)")
+                assert excinfo.value.remote_type == "ProtocolError"
+                metrics = client.metrics()
+        assert metrics["server.completed"] == 61
+        assert metrics["server.errors"] == 1
+
     def test_client_rejects_oversized_request(self, server):
         client = ReproClient(server.host, server.port, max_frame=256)
         try:

@@ -1,7 +1,8 @@
 """``FrameStream``: the one buffered-protocol frame reader the server
-and the asyncio client share.  Driven by hand against a recording
-transport (counts and bytes, no clocks), then over real sockets for the
-allocation behaviour it exists to fix."""
+and the asyncio client share — the client awaiting ``read_frames``, the
+server through a sink called from the read callback.  Driven by hand
+against a recording transport (counts and bytes, no clocks), then over
+real sockets for the allocation behaviour it exists to fix."""
 
 from __future__ import annotations
 
@@ -189,6 +190,111 @@ class TestBackpressure:
                 await stream.drain()
 
         run(scenario)
+
+
+class RecordingSink:
+    """The server's side of a sink-mode stream, as a list of events."""
+
+    def __init__(self):
+        self.events = []
+
+    def frame_received(self, payload):
+        self.events.append(("frame", payload))
+
+    def framing_failed(self, error):
+        self.events.append(("framing_failed", str(error)))
+
+    def eof_received(self):
+        self.events.append(("eof",))
+
+    def connection_lost(self, error):
+        self.events.append(("lost", error))
+
+
+def sink_connected(sink=None):
+    sink = sink or RecordingSink()
+    accepted = []
+
+    def accept(stream):
+        accepted.append(stream)
+        return sink
+
+    stream, transport = FrameStream(accept=accept), RecordingTransport()
+    stream.connection_made(transport)
+    assert accepted == [stream]
+    return stream, transport, sink
+
+
+class TestSink:
+    def test_frames_split_and_coalesced_arrive_once_in_order(self):
+        stream, transport, sink = sink_connected()
+        payloads = [bytes([i]) * (i * 37) for i in range(1, 6)]
+        wire = b"".join(map(protocol.encode_frame, payloads))
+        deliver(stream, wire[:50])
+        deliver(stream, wire[50:51])
+        deliver(stream, wire[51:])
+        deliver(stream, wire)  # all five in one read
+        assert sink.events == [("frame", p) for p in payloads * 2]
+        assert transport.calls == []  # nothing waits, nothing pauses
+
+    def test_framing_error_follows_the_good_frames_once(self):
+        stream, transport, sink = sink_connected()
+        deliver(stream, protocol.encode_frame(b"good"))
+        bad = bytearray(protocol.encode_frame(b"damaged"))
+        bad[-1] ^= 1
+        # the good frame sharing the bad one's read is dropped with it
+        deliver(stream, protocol.encode_frame(b"shared") + bytes(bad))
+        assert [event[0] for event in sink.events] == [
+            "frame",
+            "framing_failed",
+        ]
+        assert sink.events[0] == ("frame", b"good")
+        assert "CRC" in sink.events[1][1]
+        # reading stops for good, even when write pressure lifts
+        stream.pause_writing()
+        stream.resume_writing()
+        assert transport.calls == ["pause"]
+
+    def test_eof_and_loss_are_each_reported_once(self):
+        stream, _, sink = sink_connected()
+        deliver(stream, protocol.encode_frame(b"last"))
+        assert stream.eof_received() is True
+        error = ConnectionResetError("peer reset")
+        stream.connection_lost(error)
+        assert sink.events == [("frame", b"last"), ("eof",), ("lost", error)]
+
+    def test_a_sink_that_hangs_up_gets_no_more_frames(self):
+        class HangUp(RecordingSink):
+            def frame_received(self, payload):
+                super().frame_received(payload)
+                stream.close()
+
+        stream, transport, sink = sink_connected(HangUp())
+        deliver(
+            stream,
+            protocol.encode_frame(b"one") + protocol.encode_frame(b"two"),
+        )
+        assert sink.events == [("frame", b"one")]
+        assert transport.calls == ["close"]
+
+    def test_write_pressure_pauses_reading(self):
+        stream, transport, sink = sink_connected()
+        stream.pause_writing()
+        assert transport.calls == ["pause"]
+        stream.pause_writing()
+        assert transport.calls == ["pause"]
+        stream.resume_writing()
+        assert transport.calls == ["pause", "resume"]
+        deliver(stream, protocol.encode_frame(b"after"))
+        assert sink.events == [("frame", b"after")]
+
+    def test_the_owner_side_ignores_write_pressure(self):
+        """Without a sink the owner awaits ``drain``; pausing reading
+        there could stall both peers on full send buffers."""
+        stream, transport = connected()
+        stream.pause_writing()
+        stream.resume_writing()
+        assert transport.calls == []
 
 
 def _minor_faults(pid: int) -> int:
