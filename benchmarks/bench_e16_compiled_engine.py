@@ -66,6 +66,69 @@ PARENT_DISTINCT_LITERAL_PLANS = (
 )
 
 
+#: Reads through each coordinator session in
+#: :func:`uncompiled_coordinator_reads` (one sharded, one cluster).
+COORDINATOR_READS = 100
+
+#: The read mix: single- and cross-shard, current and past states.
+COORDINATOR_QUERIES = (
+    "rollback(alpha, now)",
+    "rollback(zeta, {n})",
+    "rollback(alpha, now) union rollback(zeta, now)",
+    "project [k] (select [k > 1] (rollback(alpha, {n}) minus "
+    "rollback(zeta, now)))",
+)
+
+
+def uncompiled_coordinator_reads(reads: int = COORDINATOR_READS):
+    """``(reads that executed no compiled plan, reads)`` over ``reads``
+    queries through a ``Session(shards=2)`` and as many through a
+    two-shard, one-replica cluster session, counted by
+    ``engine.plan_executions``."""
+    from repro.cluster import ClusterConfig
+    from repro.lang.session import Session
+    from repro.obsv import registry as obsv_registry
+    from repro.obsv.registry import MetricsRegistry
+
+    uncompiled = total = 0
+    for session in (
+        Session(shards=2),
+        Session(cluster=ClusterConfig(shards=2, replicas_per_shard=1)),
+    ):
+        with session:
+            session.execute(
+                "define_relation(alpha, rollback);"
+                "define_relation(zeta, rollback)"
+            )
+            for key in range(1, 6):
+                session.execute(
+                    f"modify_state(alpha, rollback(alpha, now) union "
+                    f"state (k: integer) {{ ({key}) }});"
+                    f"modify_state(zeta, state (k: integer) {{ ({key}) }})"
+                )
+            last = session.transaction_number
+            registry = obsv_registry.enable(MetricsRegistry())
+            try:
+                for index in range(reads):
+                    text = COORDINATOR_QUERIES[
+                        index % len(COORDINATOR_QUERIES)
+                    ]
+                    session.query(text.format(n=1 + index % last))
+                counters = registry.snapshot()["counters"]
+            finally:
+                obsv_registry.disable()
+        uncompiled += reads - counters.get("engine.plan_executions", 0)
+        total += reads
+    return uncompiled, total
+
+
+#: The same count at the commit before coordinators ran compiled plans
+#: (2c56de7): every read rebuilt and routed a tree.
+PARENT_UNCOMPILED_COORDINATOR_READS = (
+    "before (parent 2c56de7): 200 of 200 reads, 1.0"
+)
+
+
 def metrics_snapshot() -> dict:
     """Run one session workload under an enabled registry and return
     the ``optimizer.*`` / ``engine.*`` / ``lang.plan_cache.*`` counters
@@ -127,6 +190,12 @@ def report() -> str:
         f"{plans} plans optimized"
     )
 
+    uncompiled, total = uncompiled_coordinator_reads()
+    lines.append(
+        f"  sharded + cluster sessions: {uncompiled} of {total} reads "
+        f"ran no compiled plan"
+    )
+
     lines.append("  counters for 10 repeats of the session query:")
     for name, value in metrics_snapshot().items():
         lines.append(f"    {name} = {value}")
@@ -139,11 +208,13 @@ def report() -> str:
 
 def bench_payload() -> dict:
     """Perf-trajectory record for the committed ``BENCH_e16.json`` —
-    all three layers of the repeated-query read path."""
+    all three layers of the repeated-query read path, and the share of
+    coordinator reads that skip it."""
     plain, compiled, steps, nodes = compiled_dag_comparison()
     naive_s, comp_s, naive_cost, opt_cost = compiled_join_comparison()
     adhoc, cached = compiled_session_comparison()
     plans, reads = distinct_literal_plans()
+    uncompiled, total = uncompiled_coordinator_reads()
     return {
         "experiment": "e16",
         "description": (
@@ -182,6 +253,16 @@ def bench_payload() -> dict:
                     f"{plans} plans optimized for {reads} reads of one "
                     f"shape at {reads} distinct rollback numerals; "
                     f"{PARENT_DISTINCT_LITERAL_PLANS}"
+                ),
+            },
+            "uncompiled_coordinator_read_share": {
+                "kind": "ratio",
+                "value": round(uncompiled / total, 4),
+                "ceiling": 0.5,
+                "detail": (
+                    f"{uncompiled} of {total} reads through sharded and "
+                    f"cluster sessions executed no compiled plan; "
+                    f"{PARENT_UNCOMPILED_COORDINATOR_READS}"
                 ),
             },
         },

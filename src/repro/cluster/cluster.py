@@ -18,11 +18,12 @@ without duplicating either:
   replay it — the replica's local transaction numbering coincides with
   its primary's by construction, so the coordinator's global→local
   numeral translation is valid on the replica too;
-* **fan-out reads** run through a second
-  :class:`~repro.sharding.router.ScatterGatherRouter` whose per-shard
-  evaluation lands on a replica (round-robin over the live ones) under
-  the configured freshness contract, falling back to the primary when a
-  shard has no live replicas;
+* **reads** run through a second
+  :class:`~repro.sharding.router.ScatterGatherRouter` over the same
+  metadata: each ``ρ`` leaf is answered on its shard by the node the
+  read picked for that shard — a replica (round-robin over the live
+  ones, once per shard per read) under the configured freshness
+  contract, or the primary when a shard has no live replicas;
 * **failover** promotes a caught-up replica through the replication
   layer's :func:`~repro.replication.promote.promote` and swaps it in as
   the shard's primary via
@@ -64,7 +65,6 @@ from repro.errors import (
 )
 from repro.core.commands import Command, DefineRelation, ModifyState
 from repro.core.database import Database
-from repro.core.expressions import Expression
 from repro.core.txn import TransactionNumber
 from repro.durability.durable import DurableDatabase
 from repro.durability.files import DirectoryStore
@@ -141,15 +141,12 @@ class Cluster:
         for index in range(self._sharded.shard_count):
             self._attach_shard(index)
         self._persist_topology()
-        # the replica-serving read path reuses the write path's router
-        # machinery verbatim: same owner map, same numeral translation —
-        # only the per-shard evaluation target differs
+        # reads route leaves over the write path's metadata (owner map,
+        # numeral translation); only the node answering them differs
         from repro.sharding.router import ScatterGatherRouter
 
         self._read_router = ScatterGatherRouter(
-            owner_of=self._sharded._owner_for_read,
-            localize_numeral=self._sharded.localize_numeral,
-            evaluate_on_shard=self._read_on_shard,
+            self._sharded, self._read_node
         )
 
     def _reopen_sharded(self) -> None:
@@ -383,25 +380,21 @@ class Cluster:
 
     # -- read path ---------------------------------------------------------
 
-    def evaluate(self, expression: Expression):
-        """Scatter-gather evaluation with per-shard reads served from
-        replicas (round-robin over the live ones) under the configured
+    def evaluate(self, expression):
+        """Evaluate an expression or compiled plan, each ``ρ`` leaf
+        answered on its shard by a replica (round-robin over the live
+        ones, picked once per shard per read) under the configured
         freshness contract; shards with no live replicas answer from
         their primary."""
-        if _obsv.enabled():
-            fanout = self._read_router.fanout(expression)
-            registry = _obsv.get()
-            registry.counter("shard.queries").inc()
-            registry.histogram("shard.query_fanout").observe(fanout)
-            registry.counter(
-                "shard.queries_scattered"
-                if fanout > 1
-                else "shard.queries_single_shard"
-            ).inc()
-        return self._read_router.evaluate(expression)
+        try:
+            return self._read_router.evaluate(expression)
+        except StaleReadError:
+            if _obsv.enabled():
+                _obsv.get().counter("cluster.stale_rejections").inc()
+            raise
 
-    def evaluate_primary(self, expression: Expression):
-        """Scatter-gather evaluation pinned to the primaries (the
+    def evaluate_primary(self, expression):
+        """Evaluation with every leaf answered by a primary (the
         write-path router) — bypasses replicas entirely."""
         return self._sharded.evaluate(expression)
 
@@ -419,22 +412,20 @@ class Cluster:
     #: The global value, kept between accesses.
     database = property(as_database)
 
-    def _read_on_shard(self, index: int, expression: Expression):
+    def _read_node(self, index: int):
+        """The node answering one read's leaves on shard ``index``: the
+        next live replica, caught up first under ``fresh``, or the
+        primary when there is none."""
         replica = self._pick_replica(index)
         if replica is None:
             if _obsv.enabled():
                 _obsv.get().counter("cluster.reads_primary").inc()
-            return self._sharded.shards[index].evaluate(expression)
+            return self._sharded.shards[index]
         if self._config.freshness == "fresh":
             replica.catch_up()
         if _obsv.enabled():
             _obsv.get().counter("cluster.reads_replica").inc()
-        try:
-            return replica.evaluate(expression)
-        except StaleReadError:
-            if _obsv.enabled():
-                _obsv.get().counter("cluster.stale_rejections").inc()
-            raise
+        return replica
 
     def _pick_replica(self, index: int) -> Optional[Replica]:
         """The next live replica of shard ``index`` in round-robin

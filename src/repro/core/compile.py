@@ -37,6 +37,12 @@ placeholders (the paper's ``ρ(I, N)`` with ``N`` free).
 placeholder and shares every other step, so one optimized, compiled
 plan serves every value of its literals; :func:`bind` does the same to
 a bare tree.
+
+A plan runs wherever a tree runs: :meth:`CompiledPlan.evaluate` is its
+call, so every session backing takes the plan through its own
+``evaluate`` — a value, a durable database's physical mirror, a replica
+behind its staleness bound, or a coordinator's per-read view whose
+``ρ`` leaves its shards answer.
 """
 
 from __future__ import annotations
@@ -72,8 +78,9 @@ class CompiledPlan:
 
     The plan is a sequence of steps in bottom-up topological order;
     step ``i`` writes slot ``i`` of a per-execution value array, and the
-    last slot is the root's result.  Calling the plan evaluates it
-    against a database, exactly like ``expression.evaluate(database)``.
+    last slot is the root's result.  Calling the plan (or its
+    :meth:`evaluate`) evaluates it against a database, exactly like
+    ``expression.evaluate(database)``.
     """
 
     __slots__ = ("expression", "_steps", "_n_nodes", "_parameterized")
@@ -147,6 +154,12 @@ class CompiledPlan:
             metrics.counter("engine.plan_executions").inc()
             metrics.counter("engine.steps_executed").inc(len(self._steps))
         return values[-1]
+
+    def evaluate(self, database: Database) -> State:
+        """The plan run against ``database``, as ``__call__`` runs it:
+        a plan and its tree answer the same call, so every backing's
+        ``evaluate(x)`` takes either."""
+        return self(database)
 
     def __repr__(self) -> str:
         return (

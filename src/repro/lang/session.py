@@ -12,9 +12,11 @@ Where the value lives cannot change what a session observes, so the
 constructor chooses its *backing* once — memory, ``durable_dir``,
 ``replica_of``, ``shards`` or ``cluster`` — and every later call goes to
 that one object (a ``DurableDatabase``, ``Replica``, ``ShardedDatabase``
-or ``Cluster``, or a value plus its transaction manager).  Plain and
-durable backings run compiled plans against their value; the others
-evaluate reads themselves (a staleness bound, scatter-gather).
+or ``Cluster``, or a value plus its transaction manager).  Every
+backing runs a query's compiled plan through its own ``evaluate``: the
+plain and durable ones against their value, a replica behind its
+staleness bound, and a coordinator against a per-read view whose ``ρ``
+leaves its shards answer.
 
 The session also offers :meth:`Session.query`, which parses and evaluates a
 side-effect-free expression (the "display the contents of a relation" use
@@ -35,10 +37,10 @@ first state, or given a new scheme or type — see
 drifted in cardinality by more than :data:`DRIFT_FACTOR`.  Sharded and
 cluster coordinators keep their global value and hand the token on by
 the same rule, so their plans survive writes too.  A text seen before
-skips the lexer too: in
-the steady read-heavy state every ``query`` call is one dict probe plus
-one compiled-plan execution.  :meth:`Session.explain` renders the
-before/after story for any query.
+skips the lexer too: in the steady read-heavy state every ``query``
+call, on every backing, is one dict probe plus one compiled-plan
+execution.  :meth:`Session.explain` renders the before/after story for
+any query.
 """
 
 from __future__ import annotations
@@ -386,9 +388,6 @@ class Session:
             retry=retry, shards=shards, partitioner=partitioner,
             cluster=cluster, isolation=isolation,
         )
-        # plain and durable backings hand compiled plans their value;
-        # the others evaluate reads themselves
-        self._routes_reads = self._kind in ("replica", "sharded", "cluster")
         # coordinators keep no trail of past global values
         self._history: "list[Database] | None" = (
             None
@@ -454,17 +453,10 @@ class Session:
         """The current database's transaction number."""
         return self._backing.transaction_number
 
-    @property
-    def routes_reads(self) -> bool:
-        """True when reads evaluate through the backing (a replica's
-        staleness bound, scatter-gather over shards) rather than as
-        compiled plans against a database value."""
-        return self._routes_reads
-
     def reanchor(self, database: Database, *, record: bool = True) -> None:
         """Make ``database`` the current value of a plain in-memory
-        session (the REPL's ``.load``; a server view before each read,
-        with ``record=False`` so the :attr:`history` trail is untouched).
+        session (the REPL's ``.load``; ``record=False`` leaves the
+        :attr:`history` trail untouched).
         Raises :class:`StorageError` when a WAL, replica or coordinator
         owns the value, :class:`ConcurrencyError` when a manager does."""
         self._backing_op("reanchor", StorageError, _IN_MEMORY)(database)
@@ -678,7 +670,6 @@ class Session:
         new primary starts from."""
         durable = self._backing_op("promote", ReplicationError, "a replica")()
         self._kind, self._backing = "durable", durable
-        self._routes_reads = False
         self._record(durable.database)
         return durable.database
 
@@ -705,22 +696,18 @@ class Session:
 
     def _evaluate_plan(self, query: _Query) -> State:
         """Evaluate a text's plan with its parameters bound,
-        (re)optimizing and (re)compiling it first if it is stale."""
+        (re)optimizing and (re)compiling it first if it is stale.  The
+        backing runs the plan, as it runs a tree: against its value, a
+        staleness-guarded replica, or a coordinator's leaf routing."""
         plan = query.plan
-        database = self._backing.database
-        expression = self._planned_expression(plan, database)
-        if self._routes_reads:
-            # replica, sharded and cluster backings evaluate through
-            # their own routers (staleness bound, scatter-gather); they
-            # reuse the optimized template but not the compiled plan
-            return self._backing.evaluate(bind(expression, query.params))
+        expression = self._planned_expression(plan, self._backing.database)
         compiled = plan.compiled
         if compiled is None or compiled.expression is not expression:
             compiled = plan.compiled = compile_expression(expression)
         if query.bound_from is not compiled:
             query.bound = compiled.bind(query.params)
             query.bound_from = compiled
-        return query.bound(database)
+        return self._backing.evaluate(query.bound)
 
     def _planned_expression(
         self, plan: _CachedPlan, database: Database

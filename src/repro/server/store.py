@@ -22,15 +22,13 @@ of its shards is degraded).  Either way the asyncio server executes at
 most one write at a time, so the two paths agree with the
 sequential-sentence semantics the paper mandates.
 
-**Reads** never touch the write path.  Where the session runs compiled
-plans against a value (plain, durable), each connection's
-:class:`SessionView` is a private plain :class:`Session` re-anchored at
-the store's current immutable database value per request — its *own*
-plan cache (parse, optimize and compile once per query shape) over the
-process-wide versioned state cache.  Where the session routes reads
-through its backing (replica, sharded, cluster), views read through the
-authoritative session, which owns the staleness bound and the
-scatter-gather routers.
+**Reads** never touch the write path.  Every connection's
+:class:`SessionView` reads through the authoritative session, which
+runs each query's compiled plan on whatever backing it has (a replica's
+staleness bound and a coordinator's leaf routing included), so a server
+has one plan cache: parse, optimize and compile once per query shape,
+whichever connection sent it.  The asyncio server runs one request at a
+time on its loop, so connections never share the cache concurrently.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.commands import sequence
-from repro.core.database import Database
 from repro.errors import ConcurrencyError, ReproError
 from repro.lang.parser import parse_sentence
 from repro.lang.session import Session, format_state
@@ -137,10 +134,6 @@ class ServerStore:
             and len(cluster.degraded_shards) == cluster.shard_count
         )
 
-    def current_database(self) -> Database:
-        """The immutable database value reads anchor to."""
-        return self._session.database
-
     # -- writes --------------------------------------------------------------
 
     def execute(self, source: str) -> int:
@@ -176,43 +169,29 @@ class ServerStore:
 
 
 class SessionView:
-    """One connection's read view: a private plan cache over the shared
-    backing.
+    """One connection's read view of the store: its reads go through
+    the store's session (a replica store first applies what its primary
+    shipped, the serve-fresh policy)."""
 
-    Where the store's session runs compiled plans against a database
-    value (plain / durable), the view re-anchors a private plain
-    :class:`Session` at the store's current value per request —
-    concurrent reads then share nothing mutable but the (thread-safe by
-    event-loop serialization) state cache.  Where the session routes
-    reads through its backing (replica / sharded / cluster), the view
-    delegates to it: it owns the staleness bound and the scatter-gather
-    routers.
-    """
-
-    __slots__ = ("_store", "_session")
+    __slots__ = ("_store",)
 
     def __init__(self, store: ServerStore) -> None:
         self._store = store
-        self._session = None if store.session.routes_reads else Session()
-
-    def _reader(self) -> Session:
-        if self._session is None:
-            self._store.catch_up()
-            return self._store.session
-        # the private session checks its plans against each new value
-        self._session.reanchor(self._store.current_database(), record=False)
-        return self._session
 
     def query(self, source: str) -> str:
         """Evaluate an expression and return its printed relation."""
-        return render_state(self._reader().query(source))
+        self._store.catch_up()
+        return render_state(self._store.session.query(source))
 
     def explain(self, source: str) -> str:
         """The optimizer's story for a query against the current value."""
-        return self._reader().explain(source)
+        self._store.catch_up()
+        return self._store.session.explain(source)
 
     def plan_cache_info(self) -> dict:
-        return self._reader().plan_cache_info()
+        """The store's plan cache, which every connection shares; an
+        observation, so it applies nothing."""
+        return self._store.session.plan_cache_info()
 
 
 def ensure_no_leaked_transactions(store: ServerStore) -> None:

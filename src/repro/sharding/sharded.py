@@ -24,10 +24,11 @@ mirror:
   ``modify_state`` is evaluated at the coordinator by the scatter-gather
   router and shipped as a constant state.  Either way the shard's WAL
   replays to the exact states the global sentence prescribes.
-* **reads scatter-gather**: single-shard subtrees evaluate on their
-  shard (through its backend mirror when attached); cross-shard
-  ``∪``/``−``/``×`` merge at the coordinator through
-  :func:`repro.core.expressions.apply_node`.
+* **reads route leaves**: a read — a tree or a session's compiled
+  plan — runs at the coordinator against a per-read view whose
+  ``ρ(I, N)`` leaves are answered by ``I``'s shard (through its backend
+  mirror when attached) at the localized numeral; the operators run
+  where the read runs (:mod:`repro.sharding.router`).
 
 Coordinator metadata (owner map, per-identifier global transaction
 numbers, the global counter) lives in memory and — when the database
@@ -177,13 +178,7 @@ class ShardedDatabase:
         #: relation, modify count, global relation) it was assembled from
         self._global: tuple = (EMPTY_DATABASE, {})
         self._closed = False
-        self._router = ScatterGatherRouter(
-            owner_of=self._owner_for_read,
-            localize_numeral=self._localize_numeral,
-            evaluate_on_shard=lambda index, expr: self._shards[
-                index
-            ].evaluate(expr),
-        )
+        self._router = ScatterGatherRouter(self, self._shards.__getitem__)
         if meta_store is None and self._directory is not None:
             meta_store = DirectoryStore(
                 os.path.join(self._directory, "coordinator")
@@ -314,13 +309,7 @@ class ShardedDatabase:
         }
         self._global = (EMPTY_DATABASE, {})
         self._closed = False
-        self._router = ScatterGatherRouter(
-            owner_of=self._owner_for_read,
-            localize_numeral=self._localize_numeral,
-            evaluate_on_shard=lambda index, expr: self._shards[
-                index
-            ].evaluate(expr),
-        )
+        self._router = ScatterGatherRouter(self, self._shards.__getitem__)
         self._journal = CoordinatorJournal(
             meta_store, checkpoint_every=meta_checkpoint_every
         )
@@ -413,9 +402,17 @@ class ShardedDatabase:
             return owner
         return self._partitioner.shard_for(identifier, len(self._shards))
 
+    def owner_relation(self, identifier: str) -> Optional[Relation]:
+        """The owning shard's (shard-local) relation, or None when the
+        identifier is unbound."""
+        owner = self._owner.get(identifier)
+        if owner is None:
+            return None
+        return self._shards[owner].database.lookup(identifier)
+
     # -- numeral translation ----------------------------------------------
 
-    def _localize_numeral(
+    def localize_numeral(
         self, identifier: str, numeral: Numeral
     ) -> Numeral:
         """The owner-shard-local numeral selecting the same state the
@@ -427,18 +424,15 @@ class ShardedDatabase:
         unsharded evaluator would."""
         if is_now(numeral):
             return numeral
-        owner = self._owner.get(identifier)
-        if owner is None:
-            return numeral
-        relation = self._shards[owner].database.lookup(identifier)
+        relation = self.owner_relation(identifier)
         if relation is None or not relation.rtype.keeps_history:
             return numeral
         mods = self._mods.get(identifier, [])
         if len(mods) != relation.history_length:
             raise ShardingError(
                 f"coordinator metadata for {identifier!r} records "
-                f"{len(mods)} modifies but shard {owner} holds "
-                f"{relation.history_length} states"
+                f"{len(mods)} modifies but shard {self._owner[identifier]} "
+                f"holds {relation.history_length} states"
             )
         position = bisect_right(mods, numeral)
         if position == 0:
@@ -446,13 +440,6 @@ class ShardedDatabase:
             # local numeral 0 makes the shard's FINDSTATE return ∅ too
             return 0
         return relation.rstate[position - 1][1]
-
-    def localize_numeral(
-        self, identifier: str, numeral: Numeral
-    ) -> Numeral:
-        """Public access to the global→shard-local numeral translation
-        (the cluster layer routes replica reads through it)."""
-        return self._localize_numeral(identifier, numeral)
 
     # -- command execution ------------------------------------------------
 
@@ -634,20 +621,10 @@ class ShardedDatabase:
 
     # -- read path --------------------------------------------------------
 
-    def evaluate(self, expression: Expression):
-        """Scatter-gather evaluation of a side-effect-free expression,
-        observationally equal to evaluating it on the unsharded
-        database."""
-        if _obsv.enabled():
-            fanout = self._router.fanout(expression)
-            registry = _obsv.get()
-            registry.counter("shard.queries").inc()
-            registry.histogram("shard.query_fanout").observe(fanout)
-            registry.counter(
-                "shard.queries_scattered"
-                if fanout > 1
-                else "shard.queries_single_shard"
-            ).inc()
+    def evaluate(self, expression):
+        """Evaluate a side-effect-free expression or compiled plan, each
+        ``ρ`` leaf answered by its owning shard — observationally equal
+        to evaluating it on the unsharded database."""
         return self._router.evaluate(expression)
 
     def state_at(self, identifier: str, txn: TransactionNumber):

@@ -249,14 +249,14 @@ EXPECTED_COUNTERS = {
     "cluster.reads_primary": 1,
     "cluster.reads_replica": 3,
     "cluster.replicas_added": 4,
-    "engine.plan_executions": 7,
-    "engine.plans_compiled": 6,
-    "engine.steps_compiled": 13,
-    "engine.steps_executed": 14,
+    "engine.plan_executions": 10,
+    "engine.plans_compiled": 9,
+    "engine.steps_compiled": 20,
+    "engine.steps_executed": 21,
     "expr.memo_hits": 1,
     "expr.memo_misses": 4,
-    "expr.nodes_evaluated": 75,
-    "expr.rollback_evaluations": 27,
+    "expr.nodes_evaluated": 91,
+    "expr.rollback_evaluations": 38,
     "lang.batches_executed": 1,
     "lang.plan_cache.evictions": 3,
     "lang.plan_cache.hits": 1,
@@ -280,10 +280,9 @@ EXPECTED_COUNTERS = {
     "shard.commands_coordinated": 1,
     "shard.commands_noop": 2,
     "shard.commands_routed": 9,
-    "shard.merges": 5,
     "shard.moves_wal_replayed": 1,
-    "shard.queries": 5,
-    "shard.queries_scattered": 4,
+    "shard.queries": 6,
+    "shard.queries_scattered": 5,
     "shard.queries_single_shard": 1,
     "shard.rebalances": 1,
     "shard.subqueries_routed": 11,
@@ -311,7 +310,7 @@ EXPECTED_HISTOGRAMS = {
     "repl.catchup_seconds": 9,
     "repl.lag_records": (4, 0, 7),
     "repl.retry_sleep_seconds": 1,
-    "shard.query_fanout": (5, 1, 2),
+    "shard.query_fanout": (6, 1, 2),
     "shard.rebalance_seconds": 1,
     "wal.recovery_replay_length": (15, 0, 6),
     "wal.recovery_seconds": 15,

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterConfig
 from repro.core.commands import DefineRelation, ModifyState
 from repro.core.compile import compile_expression
 from repro.core.database import Database
@@ -62,7 +63,12 @@ from repro.storage import (
 )
 from repro.storage.versioned_db import _BackendDatabaseView
 
-from tests.conftest import COORDINATORS, coordinator_session, kv_states
+from tests.conftest import (
+    COORDINATORS,
+    calls_to,
+    coordinator_session,
+    kv_states,
+)
 
 KV = Schema([Attribute("k", INTEGER), Attribute("v", INTEGER)])
 XY = Schema([Attribute("x", INTEGER), Attribute("y", INTEGER)])
@@ -476,6 +482,13 @@ def outcome(evaluate_text, text: str):
     return ("ok", result if isinstance(result, str) else render_state(result))
 
 
+def _bounded_cluster(on_stale: str) -> ClusterConfig:
+    return ClusterConfig(
+        shards=2, replicas_per_shard=1, freshness="bounded", max_lag=0,
+        on_stale=on_stale,
+    )
+
+
 class TestShapeCachedPlans:
     def test_equal_a_fresh_parse_on_every_backing(self, tmp_path):
         from repro.replication import RetryPolicy
@@ -483,31 +496,55 @@ class TestShapeCachedPlans:
 
         plain = Session()
         durable = Session(str(tmp_path / "durable"))
-        plain_store = ServerStore()
-        durable_store = ServerStore(durable_dir=str(tmp_path / "store"))
+        sessions = {
+            name: coordinator_session(name) for name in COORDINATORS
+        }
+        for on_stale in ("reject", "serve"):
+            sessions[f"bounded {on_stale}"] = Session(
+                cluster=_bounded_cluster(on_stale)
+            )
+        stores = {
+            "plain view": ServerStore(),
+            "durable view": ServerStore(durable_dir=str(tmp_path / "store")),
+            "sharded view": ServerStore(shards=2),
+            "cluster view": ServerStore(
+                cluster=ClusterConfig(shards=2, replicas_per_shard=1)
+            ),
+        }
         for source in SHAPE_PROGRAM:
-            for writer in (plain, durable, plain_store):
+            for writer in (plain, durable, *sessions.values(),
+                           *stores.values()):
                 writer.execute(source)
-            durable_store.execute(source)
+        for session in sessions.values():
+            # the bounded clusters serve (max_lag=0) once caught up
+            session.catch_up()
+        stores["replica view"] = ServerStore(replica_of=durable)
         replica = Session(replica_of=durable, retry=RetryPolicy.none())
         readers = {
             "plain": plain.query,
             "durable": durable.query,
             "replica": replica.query,
-            "plain view": plain_store.view().query,
-            "durable view": durable_store.view().query,
+            **{name: session.query for name, session in sessions.items()},
+            **{name: store.view().query for name, store in stores.items()},
         }
         oracle_db = plain.database
         texts = set()
+
+        def fresh_query(text):
+            fresh = Session()
+            fresh.reanchor(oracle_db, record=False)
+            return fresh.query(text)
+
         try:
 
             @settings(max_examples=200, deadline=None)
             @given(query_texts())
             def check(text):
                 texts.add(text)
-                expected = outcome(
+                expected = outcome(fresh_query, text)
+                assert outcome(
                     lambda t: parse_expression(t).evaluate(oracle_db), text
-                )
+                ) == expected, ("tree", text)
                 for name, read in readers.items():
                     assert outcome(read, text) == expected, (name, text)
 
@@ -517,7 +554,38 @@ class TestShapeCachedPlans:
         finally:
             replica.close()
             durable.close()
-            durable_store.close()
+            for closeable in (*sessions.values(), *stores.values()):
+                closeable.close()
+
+    @pytest.mark.parametrize("backing", COORDINATORS)
+    def test_a_cached_coordinator_read_runs_one_compiled_plan(self, backing):
+        import repro.lang.session as session_module
+        from repro.obsv import registry as obsv_registry
+        from repro.obsv.registry import MetricsRegistry
+
+        text = (
+            "select [k < 3] (rollback(r, 4) union "
+            "project [k, v] (rollback(s, now)))"
+        )
+        with coordinator_session(backing) as session:
+            for source in SHAPE_PROGRAM:
+                session.execute(source)
+            expected = outcome(
+                lambda t: parse_expression(t).evaluate(session.database),
+                text,
+            )
+            assert outcome(session.query, text) == expected
+            registry = obsv_registry.enable(MetricsRegistry())
+            try:
+                with calls_to(session_module, "bind") as binds:
+                    for _ in range(5):
+                        session.query(text)
+                counters = registry.snapshot()["counters"]
+            finally:
+                obsv_registry.disable()
+        assert counters["engine.plan_executions"] == 5
+        assert counters.get("engine.plans_compiled", 0) == 0
+        assert binds == []
 
     @pytest.mark.parametrize(
         "text",

@@ -100,3 +100,36 @@ class TestSentencesAreAtomic:
         if durable:
             assert durable.wal.last_lsn == records + 1
         store.close()
+
+
+class TestReplicaViews:
+    def test_plan_cache_info_applies_no_shipped_records(self, tmp_path):
+        from repro.lang.session import Session
+
+        with Session(str(tmp_path / "primary"), fsync="always") as primary:
+            primary.execute("define_relation(r, rollback)")
+            store = ServerStore(replica_of=primary)
+            try:
+                view = store.view()
+                primary.execute("define_relation(s, rollback)")
+                replica = store.session.replica
+                assert replica.applied_lsn == 1
+                view.plan_cache_info()
+                # an observation: nothing applied, the trail unchanged
+                assert replica.applied_lsn == 1
+                assert len(store.session.history) == 1
+                # a read still serves fresh
+                view.query("rollback(s, now)")
+                assert replica.applied_lsn == 2
+            finally:
+                store.close()
+
+    def test_every_view_shares_the_store_plan_cache(self):
+        store = ServerStore()
+        store.execute("define_relation(r, rollback)")
+        first, second = store.view(), store.view()
+        first.query("rollback(r, now)")
+        second.query("rollback(r, now)")
+        info = second.plan_cache_info()
+        assert (info["misses"], info["hits"]) == (1, 1)
+        assert first.plan_cache_info() == store.session.plan_cache_info()

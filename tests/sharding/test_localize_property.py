@@ -1,7 +1,7 @@
 """Property tests for the coordinator's numeral-localization metadata.
 
 ``_mods`` (per-identifier global transaction numbers, aligned 1:1 with
-the owner shard's state sequence) and ``_localize_numeral`` (the
+the owner shard's state sequence) and ``localize_numeral`` (the
 ``bisect_right`` translation from global to shard-local numbering) are
 the two structures every historical read rides on.  Topology changes —
 ``add_shard()`` growing the denominator mid-sentence, ``rebalance()``

@@ -53,13 +53,12 @@ class TestShardMetrics:
         assert counters["shard.commands_routed"] == 4  # 2 defines + 2
         assert counters["shard.commands_coordinated"] == 1
         assert counters["shard.commands_noop"] == 2
-        assert counters["shard.queries"] == 2
+        # the coordinated modify's expression is a coordinator read too
+        assert counters["shard.queries"] == 3
         assert counters["shard.queries_single_shard"] == 1
-        assert counters["shard.queries_scattered"] == 1
-        # the coordinated modify + the scattered query each gathered two
-        # single-shard subqueries and merged once
-        assert counters["shard.subqueries_routed"] >= 4
-        assert counters["shard.merges"] == 2
+        assert counters["shard.queries_scattered"] == 2
+        # one per ρ leaf: two in the modify, one, then two in the queries
+        assert counters["shard.subqueries_routed"] == 5
 
     def test_fanout_histogram(self, metrics):
         with ShardedDatabase(
@@ -67,7 +66,7 @@ class TestShardMetrics:
         ) as sharded:
             drive(sharded)
         fanout = metrics.snapshot()["histograms"]["shard.query_fanout"]
-        assert fanout["count"] == 2
+        assert fanout["count"] == 3  # the coordinated modify, two queries
         assert fanout["max"] == 2
         assert fanout["min"] == 1
 

@@ -1,4 +1,7 @@
-"""ScatterGatherRouter as a pure routing policy (injected callbacks)."""
+"""ScatterGatherRouter: the routing policy over a fake coordinator, and
+leaf routing over real shards and replicas."""
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +16,7 @@ from repro.core.expressions import (
     Select,
     Union,
 )
+from repro.core.relation import RelationType
 from repro.core.txn import NOW
 from repro.sharding import ScatterGatherRouter
 from repro.snapshot.predicates import Comparison, attr, lit
@@ -21,20 +25,28 @@ from repro.workloads.generators import StateGenerator
 OWNERS = {"a": 0, "b": 1, "c": 1}
 
 
-def make_router(calls=None):
-    """A router over the static OWNERS map; the fake localizer shifts
-    every explicit numeral down by one, and evaluation just records."""
+class FakeCoordinator:
+    """The static OWNERS map at global transaction 10; the fake
+    localizer shifts every explicit numeral down by one."""
 
-    def evaluate(shard, expression):
-        if calls is not None:
-            calls.append((shard, expression))
-        return ("evaluated", shard)
+    transaction_number = 10
 
-    return ScatterGatherRouter(
-        owner_of=lambda identifier: OWNERS[identifier],
-        localize_numeral=lambda identifier, numeral: numeral - 1,
-        evaluate_on_shard=evaluate,
-    )
+    def __init__(self, localize=lambda identifier, numeral: numeral - 1):
+        self._localize = localize
+
+    def shard_of(self, identifier):
+        return OWNERS[identifier]
+
+    def localize_numeral(self, identifier, numeral):
+        return self._localize(identifier, numeral)
+
+    def owner_relation(self, identifier):
+        return SimpleNamespace(rtype=RelationType.ROLLBACK)
+
+
+def make_router(node_of=lambda shard: None):
+    """A router over :class:`FakeCoordinator`."""
+    return ScatterGatherRouter(FakeCoordinator(), node_of)
 
 
 SOME_STATE = StateGenerator(seed=1).snapshot_state(2)
@@ -44,7 +56,6 @@ class TestShardsOf:
     def test_const_only_touches_no_shard(self):
         router = make_router()
         assert router.shards_of(Const(SOME_STATE)) == frozenset()
-        assert router.fanout(Const(SOME_STATE)) == 1
 
     def test_single_leaf(self):
         router = make_router()
@@ -54,34 +65,11 @@ class TestShardsOf:
         router = make_router()
         expression = Union(Rollback("b", NOW), Rollback("c", 3))
         assert router.shards_of(expression) == {1}
-        assert router.fanout(expression) == 1
 
     def test_cross_shard_union(self):
         router = make_router()
         expression = Union(Rollback("a", NOW), Rollback("b", NOW))
         assert router.shards_of(expression) == {0, 1}
-        assert router.fanout(expression) == 2
-
-
-class TestIsLocal:
-    def test_now_leaf_on_its_owner(self):
-        router = make_router()
-        assert router.is_local(Rollback("a", NOW), 0)
-        assert not router.is_local(Rollback("a", NOW), 1)
-
-    def test_explicit_numeral_is_never_local(self):
-        # a non-now numeral needs translation, so the expression cannot
-        # ship untouched even to the owning shard
-        router = make_router()
-        assert not router.is_local(Rollback("a", 3), 0)
-
-    def test_composite(self):
-        router = make_router()
-        local = Union(Rollback("b", NOW), Const(SOME_STATE))
-        assert router.is_local(local, 1)
-        assert not router.is_local(
-            Union(local, Rollback("a", NOW)), 1
-        )
 
 
 class TestLocalize:
@@ -96,11 +84,9 @@ class TestLocalize:
         assert router.localize(leaf, 0) is leaf
 
     def test_unchanged_numeral_returned_by_identity(self):
-        calls = []
         router = ScatterGatherRouter(
-            owner_of=OWNERS.__getitem__,
-            localize_numeral=lambda identifier, numeral: numeral,
-            evaluate_on_shard=lambda s, e: None,
+            FakeCoordinator(localize=lambda identifier, numeral: numeral),
+            lambda shard: None,
         )
         leaf = Rollback("a", 4)
         assert router.localize(leaf, 0) is leaf
@@ -154,19 +140,250 @@ def _rollback_leaves(expression):
         yield from _rollback_leaves(child)
 
 
-class TestEvaluate:
-    def test_single_shard_ships_whole_localized_tree(self):
-        calls = []
-        router = make_router(calls)
-        expression = Union(Rollback("b", NOW), Rollback("c", 7))
-        assert router.evaluate(expression) == ("evaluated", 1)
-        assert len(calls) == 1
-        shard, shipped = calls[0]
-        assert shard == 1
-        assert shipped.right.numeral == 6
 
-    def test_const_only_goes_to_shard_zero(self):
-        calls = []
-        router = make_router(calls)
-        router.evaluate(Const(SOME_STATE))
-        assert [shard for shard, _ in calls] == [0]
+
+# -- leaf routing ------------------------------------------------------------
+
+
+class RecordingNode:
+    """A shard node that records each leaf it answers and answers every
+    one with SOME_STATE."""
+
+    def __init__(self):
+        self.leaves = []
+
+    def evaluate(self, expression):
+        self.leaves.append(expression)
+        return SOME_STATE
+
+
+def routed(expression):
+    """``(result, picks, nodes)``: ``expression`` read through a router
+    over two recording nodes; ``picks`` lists each ``node_of`` call."""
+    nodes = {0: RecordingNode(), 1: RecordingNode()}
+    picks = []
+
+    def node_of(shard):
+        picks.append(shard)
+        return nodes[shard]
+
+    return make_router(node_of).evaluate(expression), picks, nodes
+
+
+@pytest.fixture
+def metrics():
+    from repro.obsv import registry as obsv_registry
+    from repro.obsv.registry import MetricsRegistry
+
+    registry = obsv_registry.enable(MetricsRegistry())
+    try:
+        yield registry
+    finally:
+        obsv_registry.disable()
+
+
+class TestLeafRouting:
+    def test_past_leaf_reaches_its_owner_localized(self):
+        _, picks, nodes = routed(Rollback("a", 4))
+        assert picks == [0]
+        assert nodes[0].leaves == [Rollback("a", 3)]
+        assert nodes[1].leaves == []
+
+    def test_now_leaf_reaches_its_owner_as_now(self):
+        _, picks, nodes = routed(Rollback("b", NOW))
+        assert picks == [1]
+        assert nodes[1].leaves == [Rollback("b", NOW)]
+
+    def test_the_current_global_numeral_reaches_its_owner_as_now(self):
+        # FakeCoordinator's global counter is 10
+        _, _, nodes = routed(Rollback("c", 10))
+        assert nodes[1].leaves == [Rollback("c", NOW)]
+
+    def test_operators_run_where_the_read_runs(self):
+        result, _, nodes = routed(
+            Select(
+                Union(Rollback("b", NOW), Rollback("c", 7)),
+                Comparison(attr("key"), ">=", lit(0)),
+            )
+        )
+        # the shard sees leaves only, never the union or the selection
+        assert nodes[1].leaves == [Rollback("b", NOW), Rollback("c", 6)]
+        assert result == SOME_STATE
+
+    def test_constant_only_read_touches_no_node(self, metrics):
+        result, picks, _ = routed(Const(SOME_STATE))
+        assert result == SOME_STATE
+        assert picks == []
+        snapshot = metrics.snapshot()
+        fanout = snapshot["histograms"]["shard.query_fanout"]
+        assert (fanout["count"], fanout["min"], fanout["max"]) == (1, 1, 1)
+        assert snapshot["counters"]["shard.queries_single_shard"] == 1
+        assert "shard.subqueries_routed" not in snapshot["counters"]
+
+    def test_one_node_pick_per_touched_shard(self, metrics):
+        expression = Union(
+            Difference(Rollback("b", NOW), Rollback("a", 3)),
+            Union(Rollback("c", 5), Rollback("a", NOW)),
+        )
+        _, picks, nodes = routed(expression)
+        assert sorted(picks) == [0, 1]
+        assert len(nodes[0].leaves) == 2
+        assert len(nodes[1].leaves) == 2
+        counters = metrics.snapshot()["counters"]
+        assert counters["shard.queries_scattered"] == 1
+        assert counters["shard.subqueries_routed"] == 4
+        fanout = metrics.snapshot()["histograms"]["shard.query_fanout"]
+        assert fanout["max"] == 2
+
+    def test_a_compiled_plan_routes_as_its_tree_does(self):
+        from repro.core.compile import compile_expression
+
+        expression = Difference(
+            Union(Rollback("a", 4), Rollback("b", NOW)), Rollback("a", 4)
+        )
+        tree_result, tree_picks, tree_nodes = routed(expression)
+        plan_result, plan_picks, plan_nodes = routed(
+            compile_expression(expression)
+        )
+        assert plan_result == tree_result
+        assert sorted(plan_picks) == sorted(tree_picks)
+        # the plan's one step for the repeated leaf asks the shard once
+        assert plan_nodes[0].leaves == [Rollback("a", 3)]
+        assert plan_nodes[1].leaves == tree_nodes[1].leaves
+
+
+# -- error parity on real shards and replicas ---------------------------------
+
+
+def _sentence():
+    """Relations on both sides of ``RangePartitioner(["m"])``: ``alpha``
+    (rollback) on shard 0; ``tsnap`` (snapshot) and ``zeta``
+    (rollback) on shard 1, so global and shard-local numerals differ."""
+    from repro.lang.parser import parse_sentence
+
+    return parse_sentence(
+        "define_relation(alpha, rollback);"
+        "modify_state(alpha, state (k: integer) { (1) });"
+        "define_relation(zeta, rollback);"
+        "define_relation(tsnap, snapshot);"
+        "modify_state(tsnap, state (k: integer) { (2) });"
+        "modify_state(alpha, rollback(alpha, now) union "
+        "state (k: integer) { (3) });"
+        "modify_state(zeta, state (k: integer) { (4) })"
+    )
+
+
+def _oracle():
+    from repro.core.database import EMPTY_DATABASE
+
+    database = EMPTY_DATABASE
+    for command in _sentence():
+        database = command.execute(database)
+    return database
+
+
+def _raised(read, expression):
+    from repro.errors import ReproError
+
+    with pytest.raises(ReproError) as error:
+        read(expression)
+    return type(error.value), str(error.value)
+
+
+PARITY_READS = [
+    Rollback("nosuch", NOW),
+    Rollback("nosuch", 3),
+    Rollback("tsnap", 2),
+    Union(Rollback("alpha", 2), Rollback("tsnap", 5)),
+]
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize("expression", PARITY_READS, ids=repr)
+    def test_sharded_read_raises_what_one_node_raises(self, expression):
+        from repro.sharding import RangePartitioner, ShardedDatabase
+
+        with ShardedDatabase(
+            2, partitioner=RangePartitioner(["m"])
+        ) as sharded:
+            for command in _sentence():
+                sharded.execute(command)
+            assert _raised(sharded.evaluate, expression) == _raised(
+                lambda x: x.evaluate(_oracle()), expression
+            )
+
+    @pytest.mark.parametrize("expression", PARITY_READS, ids=repr)
+    def test_cluster_read_raises_what_one_node_raises(self, expression):
+        from repro.cluster import Cluster, ClusterConfig
+        from repro.sharding import RangePartitioner
+
+        config = ClusterConfig(
+            shards=2, replicas_per_shard=1,
+            partitioner=RangePartitioner(["m"]),
+        )
+        with Cluster(config) as cluster:
+            for command in _sentence():
+                cluster.execute(command)
+            assert _raised(cluster.evaluate, expression) == _raised(
+                lambda x: x.evaluate(_oracle()), expression
+            )
+
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            Rollback("zeta", NOW),  # received, but the replica lags
+            Rollback("tsnap", 2),  # a past state would be refused too
+            Rollback("pending", NOW),  # not received by the replica yet
+        ],
+        ids=repr,
+    )
+    def test_a_lagging_replica_rejects_first(self, expression):
+        from repro.cluster import Cluster, ClusterConfig
+        from repro.core.commands import DefineRelation
+        from repro.errors import StaleReadError
+        from repro.sharding import RangePartitioner
+
+        config = ClusterConfig(
+            shards=2, replicas_per_shard=1, freshness="bounded",
+            max_lag=0, on_stale="reject",
+            partitioner=RangePartitioner(["m"]),
+        )
+        with Cluster(config) as cluster:
+            for command in _sentence():
+                cluster.execute(command)
+            cluster.catch_up()
+            cluster.execute(DefineRelation("pending", "rollback"))
+            with pytest.raises(StaleReadError):
+                cluster.evaluate(expression)
+            cluster.catch_up()
+            cluster.evaluate(Rollback("zeta", NOW))
+
+
+class TestClusterNodePicks:
+    def test_fresh_read_picks_and_catches_up_once_per_shard(self, metrics):
+        from repro.cluster import Cluster, ClusterConfig
+        from repro.replication.replica import Replica
+        from repro.sharding import RangePartitioner
+        from tests.conftest import calls_to
+
+        config = ClusterConfig(
+            shards=2, replicas_per_shard=1,
+            partitioner=RangePartitioner(["m"]),
+        )
+        # leaves of each shard sit in different cross-shard subtrees
+        expression = Union(
+            Union(Rollback("alpha", NOW), Rollback("zeta", NOW)),
+            Difference(Rollback("alpha", 2), Rollback("zeta", NOW)),
+        )
+        with Cluster(config) as cluster:
+            for command in _sentence():
+                cluster.execute(command)
+            with calls_to(Cluster, "_pick_replica") as picks:
+                with calls_to(Replica, "catch_up") as catch_ups:
+                    result = cluster.evaluate(expression)
+        assert result == expression.evaluate(_oracle())
+        assert sorted(args[1] for args in picks) == [0, 1]
+        assert len(catch_ups) == 2
+        counters = metrics.snapshot()["counters"]
+        assert counters["cluster.reads_replica"] == 2
+        assert counters["shard.subqueries_routed"] == 4
