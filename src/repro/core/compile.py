@@ -40,9 +40,9 @@ a bare tree.
 
 A plan runs wherever a tree runs: :meth:`CompiledPlan.evaluate` is its
 call, so every session backing takes the plan through its own
-``evaluate`` — a value, a durable database's physical mirror, a replica
-behind its staleness bound, or a coordinator's per-read view whose
-``ρ`` leaves its shards answer.
+``evaluate`` — a plain or durable session's value, a replica behind
+its staleness bound, or a coordinator's per-read view whose ``ρ``
+leaves its shards answer.
 """
 
 from __future__ import annotations

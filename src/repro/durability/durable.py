@@ -1,6 +1,6 @@
 """`DurableDatabase` — the paper's command semantics behind a WAL.
 
-The wrapper owns three things:
+The wrapper owns two things:
 
 * the current semantic :class:`~repro.core.database.Database` value,
   always the result of replaying the logged command sequence from the
@@ -10,17 +10,12 @@ The wrapper owns three things:
   periodic checkpoints and log compaction.  A checkpoint seals only the
   states appended since the previous one into a new segment of the
   chain :mod:`repro.durability.checkpoint` describes, so its cost is
-  what changed, not the depth of history;
-* optionally, a physical :class:`~repro.storage.versioned_db.VersionedDatabase`
-  mirror over any :class:`~repro.storage.backend.StorageBackend`, kept
-  in lock-step so reads can be served from a physical representation
-  while durability stays at the command layer.
+  what changed, not the depth of history.
 
 Opening a :class:`DurableDatabase` *is* recovery: the constructor
 repairs the log, loads the newest valid checkpoint chain, replays the
-tail through :func:`repro.core.commands.execute`, resumes the chain's
-writer, and (when a backend mirror is attached) rebuilds the backend
-from the recovered value.
+tail through :func:`repro.core.commands.execute` and resumes the
+chain's writer.
 """
 
 from __future__ import annotations
@@ -67,15 +62,19 @@ class DurableDatabase:
         checkpoint_every: int = 256,
         keep_checkpoints: int = 2,
         segment_bytes: int = 1 << 20,
-        backend=None,
     ) -> None:
-        if not isinstance(store, FileStore):
-            store = DirectoryStore(store)
         if checkpoint_every < 0:
             raise CheckpointError(
                 f"checkpoint_every must be ≥ 0 (0 disables automatic "
                 f"checkpoints), got {checkpoint_every}"
             )
+        if keep_checkpoints < 1:
+            raise CheckpointError(
+                f"keep_checkpoints must be ≥ 1 (recovery needs a chain "
+                f"to load), got {keep_checkpoints}"
+            )
+        if not isinstance(store, FileStore):
+            store = DirectoryStore(store)
         self._closed = False
         self._store = store
         self._wal = WriteAheadLog(
@@ -93,12 +92,6 @@ class DurableDatabase:
         self._last_recovery = result
         self._since_checkpoint = result.replayed
         self._checkpoints = result.writer
-        self._versioned = None
-        if backend is not None:
-            from repro.storage.versioned_db import VersionedDatabase
-
-            self._versioned = VersionedDatabase(backend)
-            self._versioned.restore(self._database)
 
     # -- properties -------------------------------------------------------
 
@@ -118,11 +111,6 @@ class DurableDatabase:
     @property
     def store(self) -> FileStore:
         return self._store
-
-    @property
-    def versioned(self):
-        """The physical mirror (a ``VersionedDatabase``), or None."""
-        return self._versioned
 
     @property
     def last_recovery(self) -> RecoveryResult:
@@ -148,8 +136,6 @@ class DurableDatabase:
             encode_record(command, new_database.transaction_number)
         )
         self._database = new_database
-        if self._versioned is not None:
-            self._versioned.execute(command)
         if _obsv.enabled():
             _obsv.get().counter("wal.commands_executed").inc()
         self._since_checkpoint += 1
@@ -169,9 +155,7 @@ class DurableDatabase:
 
     def evaluate(self, expression: Expression):
         """Evaluate a side-effect-free expression against the current
-        database (served from the physical mirror when one is attached)."""
-        if self._versioned is not None:
-            return self._versioned.evaluate(expression)
+        database."""
         return expression.evaluate(self._database)
 
     def state_at(self, identifier: str, txn: TransactionNumber):

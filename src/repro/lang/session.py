@@ -340,15 +340,10 @@ class Session:
 
     The session itself is the only stateful object; each executed command
     replaces :attr:`database` with the new database value the command
-    semantics denotes.  All past database values remain valid (and the
-    session keeps the trail in :attr:`history` for inspection).
+    semantics denotes.  The session keeps no other copy of the past: a
+    rollback relation's state sequence holds its history, and
+    ``rollback(I, N)`` reads it.
     """
-
-    #: Default bound on the retained database-value trail.  Database
-    #: values share structure but under full-copy semantics a long
-    #: session retaining every value is O(n²) memory; the bound keeps
-    #: the recent trail inspectable without the leak.
-    DEFAULT_HISTORY_LIMIT = 256
 
     #: Default capacity of the parsed-expression (plan) cache.
     DEFAULT_PLAN_CACHE_CAPACITY = 128
@@ -359,7 +354,6 @@ class Session:
         *,
         fsync: str = "batch(64, 100)",
         checkpoint_every: int = 256,
-        history_limit: "int | None" = DEFAULT_HISTORY_LIMIT,
         plan_cache_capacity: int = DEFAULT_PLAN_CACHE_CAPACITY,
         optimize: bool = True,
         replica_of=None,
@@ -371,12 +365,6 @@ class Session:
         cluster=None,
         isolation: str = "serial",
     ) -> None:
-        if history_limit is not None and history_limit < 1:
-            raise ValueError(
-                f"history_limit must be ≥ 1 (the current database is "
-                f"always retained) or None for unbounded, got "
-                f"{history_limit}"
-            )
         if plan_cache_capacity < 0:
             raise ValueError(
                 f"plan_cache_capacity must be ≥ 0, got "
@@ -388,14 +376,7 @@ class Session:
             retry=retry, shards=shards, partitioner=partitioner,
             cluster=cluster, isolation=isolation,
         )
-        # coordinators keep no trail of past global values
-        self._history: "list[Database] | None" = (
-            None
-            if self._kind in ("sharded", "cluster")
-            else [self._backing.database]
-        )
         self._isolation = isolation
-        self._history_limit = history_limit
         # plans by query shape, and each recent text's entry by the text
         self._plan_cache: "OrderedDict[tuple, _CachedPlan]" = OrderedDict()
         self._queries: "OrderedDict[str, _Query]" = OrderedDict()
@@ -431,37 +412,16 @@ class Session:
         return self._backing.database
 
     @property
-    def history(self) -> tuple[Database, ...]:
-        """The trail of database values the session has passed through,
-        oldest first.  Sessions start the trail at the empty database;
-        once more than ``history_limit`` values have accumulated, the
-        oldest are dropped (pass ``history_limit=None`` to retain every
-        value, the pre-bound behaviour).  Sharded and cluster sessions
-        do not retain a trail: the tuple holds just the current
-        database."""
-        if self._history is None:
-            return (self.database,)
-        return tuple(self._history)
-
-    @property
-    def history_limit(self) -> "int | None":
-        """The bound on the retained trail (None = unbounded)."""
-        return self._history_limit
-
-    @property
     def transaction_number(self) -> int:
         """The current database's transaction number."""
         return self._backing.transaction_number
 
-    def reanchor(self, database: Database, *, record: bool = True) -> None:
+    def reanchor(self, database: Database) -> None:
         """Make ``database`` the current value of a plain in-memory
-        session (the REPL's ``.load``; ``record=False`` leaves the
-        :attr:`history` trail untouched).
+        session (the REPL's ``.load``).
         Raises :class:`StorageError` when a WAL, replica or coordinator
         owns the value, :class:`ConcurrencyError` when a manager does."""
         self._backing_op("reanchor", StorageError, _IN_MEMORY)(database)
-        if record:
-            self._record(database)
 
     # -- execution -----------------------------------------------------------
 
@@ -505,18 +465,7 @@ class Session:
     def _apply(self, command: Command) -> None:
         if _obsv.enabled():
             _obsv.get().counter("lang.statements_executed").inc()
-        # value backings return the new database; coordinators, which
-        # keep no trail, return the global transaction number
-        result = self._backing.execute(command)
-        if self._history is not None:
-            self._record(result)
-
-    def _record(self, database: Database) -> None:
-        history = self._history
-        history.append(database)
-        limit = self._history_limit
-        if limit is not None and len(history) > limit:
-            del history[: len(history) - limit]
+        self._backing.execute(command)
 
     # -- transactions --------------------------------------------------------
 
@@ -558,9 +507,7 @@ class Session:
         to the committed value.  Raises
         :class:`~repro.errors.ConcurrencyError` (and aborts the
         transaction) when conflict detection rejects it."""
-        database = self.transaction_manager.commit(transaction)
-        self._record(database)
-        return database
+        return self.transaction_manager.commit(transaction)
 
     def abort(self, transaction) -> None:
         """Abort an explicit transaction; the database is unchanged."""
@@ -569,9 +516,7 @@ class Session:
     def run(self, body, retries: int = 3) -> Database:
         """Run ``body(transaction)`` under the session's isolation
         level, retrying on conflict up to ``retries`` times."""
-        database = self.transaction_manager.run(body, retries)
-        self._record(database)
-        return database
+        return self.transaction_manager.run(body, retries)
 
     # -- durability ----------------------------------------------------------
 
@@ -654,10 +599,7 @@ class Session:
         published tail, returning how many were applied.  Cluster
         sessions: drive every replica in the topology to its primary's
         tail.  Primary and in-memory sessions: a no-op returning 0."""
-        applied = self._if_supported("catch_up", 0)
-        if applied and self._history is not None:
-            self._record(self._backing.database)
-        return applied
+        return self._if_supported("catch_up", 0)
 
     def lag(self) -> int:
         """How many shipped records behind the primary this replica
@@ -670,7 +612,6 @@ class Session:
         new primary starts from."""
         durable = self._backing_op("promote", ReplicationError, "a replica")()
         self._kind, self._backing = "durable", durable
-        self._record(durable.database)
         return durable.database
 
     # -- queries ---------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Fault-tolerant read replicas over the shipped command log.
 
 A :class:`Replica` consumes a :class:`~repro.replication.stream.ReplicationStream`
-into its *own* :class:`~repro.durability.durable.DurableDatabase` (and,
-optionally, its own :class:`~repro.storage.versioned_db.VersionedDatabase`
-mirror): every shipped record is decoded with the command codec and
+into its *own* :class:`~repro.durability.durable.DurableDatabase`:
+every shipped record is decoded with the command codec and
 re-executed through :func:`repro.core.commands.execute`, so the replica
 is the primary's equal by the paper's own definition of a database —
 the cumulative result of the same command sentence.
@@ -88,7 +87,6 @@ class Replica:
         store: Optional[FileStore] = None,
         fsync: "Union[str, FsyncPolicy]" = "batch(64, 100)",
         checkpoint_every: int = 256,
-        backend=None,
         retry: Optional[RetryPolicy] = None,
         max_lag: Optional[int] = None,
         on_stale: str = "reject",
@@ -110,7 +108,6 @@ class Replica:
         self._store = store if store is not None else MemoryStore()
         self._fsync = fsync
         self._checkpoint_every = checkpoint_every
-        self._backend = backend
         self._retry = retry if retry is not None else RetryPolicy()
         self._max_lag = max_lag
         self._on_stale = on_stale
@@ -121,7 +118,6 @@ class Replica:
             self._store,
             fsync=fsync,
             checkpoint_every=checkpoint_every,
-            backend=backend,
         )
 
     # -- introspection -----------------------------------------------------
@@ -299,9 +295,6 @@ class Replica:
         the next applied record lands at exactly the right LSN.
         """
         lsn, database = self._stream.snapshot()
-        backend = None
-        if self._durable.versioned is not None:
-            backend = self._durable.versioned.backend
         self._durable.close()
         for name in self._store.list():
             self._store.delete(name)
@@ -310,7 +303,6 @@ class Replica:
             self._store,
             fsync=self._fsync,
             checkpoint_every=self._checkpoint_every,
-            backend=backend if backend is not None else self._backend,
         )
         if _obsv.enabled():
             _obsv.get().counter("repl.resnapshots").inc()

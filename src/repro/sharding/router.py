@@ -12,14 +12,13 @@ shard, and the operators run where the read runs.
 
 Each read asks the injected ``node_of(shard)`` once per shard it touches:
 a sharded database passes its primaries, a cluster its replica pick.
-Nodes answer through their own ``evaluate``, so a shard's physical
-backend mirror, a replica's staleness bound and any wrapper around a
-node see every leaf.  The coordinator's transaction counter is global
-and a shard's is local to the commands it received, so a leaf's
-numeral is *localized* — translated into the shard-local numeral that
-selects the same state the global ``N`` selects in the unsharded
-semantics — and the current global number reaches the shard as
-``now``.
+Nodes answer through their own ``evaluate``, so a replica's staleness
+bound and any wrapper around a node see every leaf.  The coordinator's
+transaction counter is global and a shard's is local to the commands it
+received, so a leaf's numeral is *localized* — translated into the
+shard-local numeral that selects the same state the global ``N``
+selects in the unsharded semantics — and the current global number
+reaches the shard as ``now``.
 
 The coordinator's write path uses the same policy: :meth:`shards_of`
 and :meth:`localize` decide whether a ``modify_state`` can ship whole to

@@ -5,8 +5,7 @@ of commands under one monotonically increasing transaction counter
 (Sections 3.2–3.5).  The coordinator preserves exactly that contract
 while partitioning the ``IDENTIFIER → [RELATION + {⊥}]`` map across
 independent :class:`~repro.durability.durable.DurableDatabase` shards,
-each with its own WAL, checkpoints, and (optionally) a physical backend
-mirror:
+each with its own WAL and checkpoints:
 
 * **one global transaction counter** lives at the coordinator; shard
   transaction numbers are private replay details.  For every identifier
@@ -26,9 +25,9 @@ mirror:
   replays to the exact states the global sentence prescribes.
 * **reads route leaves**: a read — a tree or a session's compiled
   plan — runs at the coordinator against a per-read view whose
-  ``ρ(I, N)`` leaves are answered by ``I``'s shard (through its backend
-  mirror when attached) at the localized numeral; the operators run
-  where the read runs (:mod:`repro.sharding.router`).
+  ``ρ(I, N)`` leaves are answered by ``I``'s shard at the localized
+  numeral; the operators run where the read runs
+  (:mod:`repro.sharding.router`).
 
 Coordinator metadata (owner map, per-identifier global transaction
 numbers, the global counter) lives in memory and — when the database
@@ -49,7 +48,7 @@ from __future__ import annotations
 import os
 import time
 from bisect import bisect_right
-from typing import Callable, Iterable, Optional, Sequence, Union as TypingUnion
+from typing import Iterable, Optional, Sequence, Union as TypingUnion
 
 from repro.errors import CommandError, ReproError, ShardingError, StorageError
 from repro.core.commands import (
@@ -124,9 +123,6 @@ class ShardedDatabase:
     :class:`~repro.durability.files.FileStore` (tests pass
     ``MemoryStore`` instances); ``directory`` puts shard ``i`` under
     ``<directory>/shard-<i>``; with neither, shards live in memory.
-    ``backend_factory`` (called once per shard) attaches a physical
-    :class:`~repro.storage.versioned_db.VersionedDatabase` mirror to
-    each shard, so sharding composes with all five storage backends.
     """
 
     def __init__(
@@ -136,7 +132,6 @@ class ShardedDatabase:
         directory: "TypingUnion[str, os.PathLike[str], None]" = None,
         stores: Optional[Sequence[FileStore]] = None,
         partitioner: Optional[Partitioner] = None,
-        backend_factory: Optional[Callable[[], object]] = None,
         fsync: str = "batch(64, 100)",
         checkpoint_every: int = 256,
         keep_checkpoints: int = 2,
@@ -154,7 +149,6 @@ class ShardedDatabase:
         self._directory = (
             os.fspath(directory) if directory is not None else None
         )
-        self._backend_factory = backend_factory
         self._durable_options = dict(
             fsync=fsync,
             checkpoint_every=checkpoint_every,
@@ -196,20 +190,18 @@ class ShardedDatabase:
         self.meta_checkpoint()
 
     def _open_shard(
-        self, index: int, store: Optional[FileStore]
+        self, index: int, store: Optional[FileStore], *, fresh: bool = True
     ) -> DurableDatabase:
+        """Open shard ``index`` over ``store`` (by default its directory,
+        or memory).  A fresh shard must open over an empty store; a
+        reopened one recovers what its store holds."""
         if store is None:
             if self._directory is not None:
                 store = os.path.join(self._directory, f"shard-{index}")
             else:
                 store = MemoryStore()
-        backend = (
-            self._backend_factory() if self._backend_factory else None
-        )
-        shard = DurableDatabase(
-            store, backend=backend, **self._durable_options
-        )
-        if shard.transaction_number != 0:
+        shard = DurableDatabase(store, **self._durable_options)
+        if fresh and shard.transaction_number != 0:
             shard.close()
             raise ShardingError(
                 f"shard {index} recovered {shard.transaction_number} "
@@ -227,7 +219,6 @@ class ShardedDatabase:
         directory: "TypingUnion[str, os.PathLike[str], None]" = None,
         stores: Optional[Sequence[FileStore]] = None,
         partitioner: Optional[Partitioner] = None,
-        backend_factory: Optional[Callable[[], object]] = None,
         fsync: str = "batch(64, 100)",
         checkpoint_every: int = 256,
         keep_checkpoints: int = 2,
@@ -277,26 +268,20 @@ class ShardedDatabase:
             raise ShardingError(
                 "reopen needs shard stores or a directory"
             )
-        self._backend_factory = backend_factory
         self._durable_options = dict(
             fsync=fsync,
             checkpoint_every=checkpoint_every,
             keep_checkpoints=keep_checkpoints,
             segment_bytes=segment_bytes,
         )
-        self._shards = []
-        for index in range(shard_count):
-            store = (
-                stores[index]
-                if stores is not None
-                else os.path.join(self._directory, f"shard-{index}")
+        self._shards = [
+            self._open_shard(
+                index,
+                stores[index] if stores is not None else None,
+                fresh=False,
             )
-            backend = backend_factory() if backend_factory else None
-            self._shards.append(
-                DurableDatabase(
-                    store, backend=backend, **self._durable_options
-                )
-            )
+            for index in range(shard_count)
+        ]
         self._partitioner = partitioner or HashPartitioner()
         self._txn = int(meta["txn"])
         self._owner = {

@@ -11,12 +11,8 @@ Tools a downstream user reaches for once transaction time exists:
   Views are never stored; they inherit rollback-ability from their
   sources, which is exactly the paper's point about expressions being
   side-effect-free.
-* :func:`diff_states` — the (added, removed) tuple sets between two
-  transactions of one relation — the primitive audit question.
-* :func:`state_history` — iterate a relation's (txn, state) pairs.
 """
 
 from repro.timetravel.asof import as_of, View
-from repro.timetravel.diff import diff_states, state_history
 
-__all__ = ["as_of", "View", "diff_states", "state_history"]
+__all__ = ["as_of", "View"]

@@ -64,11 +64,6 @@ class TestClusterSessions:
         assert session.catch_up() >= 0
         assert session.query("rollback(r, now)") is not None
 
-    def test_history_is_the_current_value_only(self, session):
-        session.execute("define_relation(r, rollback)")
-        assert len(session.history) == 1
-        assert session.transaction_number == 1
-
 
 class TestCompositionErrors:
     def test_cluster_with_legacy_shards_is_rejected(self):

@@ -12,7 +12,7 @@ import zlib
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import CheckpointError, StorageError
 from repro.core.commands import DefineRelation, ModifyState
 from repro.core.expressions import Const
 from repro.durability import DurableDatabase, MemoryStore
@@ -358,3 +358,27 @@ class TestRecovery:
         ddb.close()
         again = DurableDatabase(store, fsync="always")
         assert again.database == oracle[55]
+
+
+class TestKeepCheckpoints:
+    """``keep_checkpoints < 1`` would let a write reach the log and the
+    value and then fail in the checkpoint it triggers; it is refused at
+    open, before any file is touched."""
+
+    @pytest.mark.parametrize("keep", [0, -1])
+    def test_below_one_is_refused_at_open(self, keep, tmp_path):
+        store = MemoryStore()
+        with pytest.raises(CheckpointError, match="keep_checkpoints"):
+            DurableDatabase(store, keep_checkpoints=keep, checkpoint_every=1)
+        assert store.list() == ()
+        directory = tmp_path / "db"
+        with pytest.raises(CheckpointError, match="keep_checkpoints"):
+            DurableDatabase(str(directory), keep_checkpoints=keep)
+        assert not directory.exists()
+
+    def test_a_sharded_database_passes_it_through(self, tmp_path):
+        from repro.sharding import ShardedDatabase
+
+        with pytest.raises(CheckpointError, match="keep_checkpoints"):
+            ShardedDatabase(2, directory=tmp_path / "db", keep_checkpoints=0)
+        assert not (tmp_path / "db").exists()

@@ -1,18 +1,16 @@
 """Tests for the durable integration surface: Session(durable_dir=...),
-the VersionedDatabase mirror, DirectoryStore on a real filesystem, and
+VersionedDatabase.restore, DirectoryStore on a real filesystem, and
 WAL metrics through the metrics registry."""
 
 import pytest
 
 from repro.errors import StorageError
-from repro.core.expressions import Rollback
-from repro.core.txn import NOW
 from repro.durability import DurableDatabase, MemoryStore
 from repro.durability.files import DirectoryStore
 from repro.lang.session import Session
 from repro.obsv import registry as obsv_registry
 from repro.obsv.registry import MetricsRegistry
-from repro.storage import DeltaBackend, FullCopyBackend
+from repro.storage import FullCopyBackend
 from repro.storage.versioned_db import VersionedDatabase, backends_agree
 
 
@@ -30,12 +28,11 @@ class TestDurableSession:
         assert session.transaction_number == 3
         session.close()
 
+        # the session reopens at the recovered value and keeps working
+        # durably
         reopened = Session(durable_dir=directory)
         assert reopened.database == before
         assert reopened.transaction_number == 3
-        # history is seeded with the recovered value, and the session
-        # keeps working durably
-        assert reopened.history[0] == before
         reopened.execute(
             "modify_state(r, (rollback(r, now) minus"
             ' state (k: integer) { (1) }));'
@@ -106,56 +103,11 @@ class TestDirectoryStore:
 
 
 class TestBackendMirror:
-    def test_mirror_stays_in_lockstep(self, workload, oracle):
-        ddb = DurableDatabase(
-            MemoryStore(),
-            fsync="always",
-            checkpoint_every=0,
-            backend=DeltaBackend(),
-        )
-        for command in workload[:60]:
-            ddb.execute(command)
-        assert (
-            ddb.versioned.transaction_number
-            == oracle[60].transaction_number
-        )
-        reference = VersionedDatabase(FullCopyBackend())
-        for command in workload[:60]:
-            reference.execute(command)
-        probes = [
-            (identifier, txn)
-            for identifier in ("r", "s", "h", "t")
-            for txn in range(0, 61, 5)
-        ]
-        assert backends_agree(
-            [ddb.versioned.backend, reference.backend], probes
-        )
-        # reads go through the physical mirror
-        expression = Rollback("r", NOW)
-        assert ddb.evaluate(expression) == expression.evaluate(
-            oracle[60]
-        )
-
-    def test_recovery_rebuilds_backend(self, workload, oracle):
-        store = MemoryStore()
-        with DurableDatabase(store, fsync="always") as ddb:
-            for command in workload[:60]:
-                ddb.execute(command)
-        recovered = DurableDatabase(store, backend=DeltaBackend())
-        assert recovered.database == oracle[60]
-        assert (
-            recovered.versioned.transaction_number
-            == oracle[60].transaction_number
-        )
-        expression = Rollback("t", NOW)
-        assert recovered.evaluate(expression) == expression.evaluate(
-            oracle[60]
-        )
+    """A physical backend restored from a recovered value."""
 
     def test_restore_replaces_nonempty_backend(self, workload, oracle):
         # restoring over a backend that already holds content wipes it
-        # first (the replica re-snapshot path) and lands exactly on the
-        # restored value
+        # first and lands exactly on the restored value
         backend = FullCopyBackend()
         vdb = VersionedDatabase(backend)
         for command in workload[:10]:

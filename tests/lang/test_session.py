@@ -60,14 +60,6 @@ class TestSession:
         )
         assert result.sorted_rows() == [("tom", "full")]
 
-    def test_history_trail(self):
-        session = Session()
-        session.execute(PROGRAM)
-        assert session.history[0] == EMPTY_DATABASE
-        assert len(session.history) == 4  # empty + 3 commands
-        txns = [db.transaction_number for db in session.history]
-        assert txns == [0, 1, 2, 3]
-
     def test_display_table(self):
         session = Session()
         session.execute(PROGRAM)
@@ -105,54 +97,6 @@ class TestFormatState:
         text = format_state(state)
         assert "valid" in text
         assert "[0, 5)" in text
-
-
-class TestHistoryLimit:
-    def test_default_is_bounded(self):
-        session = Session()
-        assert session.history_limit == Session.DEFAULT_HISTORY_LIMIT
-
-    def test_trail_is_trimmed_to_limit(self):
-        session = Session(history_limit=3)
-        session.execute("define_relation(r, rollback)")
-        for i in range(10):
-            session.execute(
-                "modify_state(r, rollback(r, now) union "
-                'state (k: integer) { (%d) })' % i
-            )
-        assert len(session.history) == 3
-        # the retained suffix is the most recent databases, newest last
-        txns = [db.transaction_number for db in session.history]
-        assert txns == [9, 10, 11]
-        assert session.history[-1] == session.database
-
-    def test_none_retains_everything(self):
-        session = Session(history_limit=None)
-        session.execute("define_relation(r, rollback)")
-        for i in range(10):
-            session.execute(
-                "modify_state(r, rollback(r, now) union "
-                'state (k: integer) { (%d) })' % i
-            )
-        assert len(session.history) == 12  # empty + 11 commands
-
-    def test_bounded_trail_is_a_suffix_of_unbounded(self):
-        bounded = Session(history_limit=4)
-        unbounded = Session(history_limit=None)
-        for s in (bounded, unbounded):
-            s.execute(PROGRAM)
-            s.execute(
-                "modify_state(faculty, rollback(faculty, now) union "
-                'state (name: string, rank: string) { ("amy", "assoc") })'
-            )
-        assert bounded.history == unbounded.history[-4:]
-        assert bounded.database == unbounded.database
-
-    def test_invalid_limit_rejected(self):
-        with pytest.raises(ValueError):
-            Session(history_limit=0)
-        with pytest.raises(ValueError):
-            Session(history_limit=-5)
 
 
 class TestPlanCache:
@@ -529,25 +473,16 @@ class TestBackingKwargs:
 
 
 class TestReanchor:
-    def test_replaces_the_value_and_records_it(self):
+    def test_replaces_the_value(self):
         source = Session()
         source.execute(PROGRAM)
         session = Session()
         session.reanchor(source.database)
         assert session.database is source.database
-        assert session.history == (EMPTY_DATABASE, source.database)
+        assert session.transaction_number == 3
         assert session.query("rollback(faculty, now)") == source.query(
             "rollback(faculty, now)"
         )
-
-    def test_without_record_the_trail_is_untouched(self):
-        source = Session()
-        source.execute(PROGRAM)
-        session = Session()
-        for database in source.history:
-            session.reanchor(database, record=False)
-        assert session.database is source.database
-        assert session.history == (EMPTY_DATABASE,)
 
     def test_refused_where_the_value_has_another_owner(self, tmp_path):
         from repro.errors import ConcurrencyError, StorageError

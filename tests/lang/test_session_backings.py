@@ -11,12 +11,15 @@ error; the server's :class:`ServerStore` is held to the same oracle.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.cluster import ClusterConfig
 from repro.concurrency import TransactionManager
 from repro.core.database import Database
 from repro.core.expressions import Rollback
+from repro.core.sentences import run
 from repro.core.txn import NOW
 from repro.errors import (
     ClusterError,
@@ -113,16 +116,29 @@ class TestReads:
         assert session.transaction_number == expected.transaction_number
         assert isinstance(session.database, Database)
         assert session.database == expected.database
-        assert session.history_limit == Session.DEFAULT_HISTORY_LIMIT
         assert session.isolation == "serial"
 
-    def test_history(self, backing):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_history(self, kind, tmp_path):
+        backing = Backing(kind, tmp_path)
         session = backing.session
-        if backing.kind in COORDINATED:
-            # the global value is assembled on demand: no trail
-            assert session.history == (session.database,)
-        else:
-            assert session.history == oracle().history
+        try:
+            for step, source in enumerate(SCRIPT, start=1):
+                backing.write(source)
+                expected = run(
+                    [parse_command(text) for text in SCRIPT[:step]]
+                )
+                if kind in COORDINATED:
+                    coordinator = session.sharded or session.cluster
+                    assert (
+                        coordinator.transaction_number
+                        == expected.transaction_number
+                    )
+                    assert coordinator.as_database() == expected, step
+                else:
+                    assert session.database == expected, step
+        finally:
+            backing.close()
 
     def test_queries_match_the_oracle(self, backing):
         expected = oracle()
@@ -203,6 +219,34 @@ class TestWrites:
             "rollback(s, now)"
         )
 
+    @pytest.mark.parametrize("kind", ("plain", "durable", "replica"))
+    def test_past_values_are_not_kept_alive(self, kind, tmp_path):
+        """A snapshot relation keeps no past, and neither does the
+        session: after 300 writes only the current values are live."""
+
+        def live_databases() -> int:
+            gc.collect()
+            return sum(isinstance(o, Database) for o in gc.get_objects())
+
+        before = live_databases()
+        backing = Backing(kind, tmp_path)
+        try:
+            rows = ", ".join(f"({k})" for k in range(1000))
+            backing.write("define_relation(big, snapshot)")
+            backing.write(
+                f"modify_state(big, state (k: integer) {{ {rows} }})"
+            )
+            for k in range(1000, 1300):
+                backing.write(
+                    "modify_state(big, rollback(big, now) union "
+                    f"state (k: integer) {{ ({k}) }})"
+                )
+            assert backing.session.transaction_number == 302
+            # the session's value, and a replica's primary's
+            assert live_databases() - before <= 3
+        finally:
+            backing.close()
+
     def test_durability_controls(self, backing):
         session = backing.session
         assert session.checkpoint() is None
@@ -241,7 +285,6 @@ class TestTransactions:
         )
         assert database == expected.execute(WRITE)
         assert session.database == database
-        assert session.history[-1] == database
 
 
 class TestTopology:
@@ -280,7 +323,7 @@ class TestTopology:
         expected = oracle()
         assert session.promote() == expected.database
         assert session.replica is None and session.durable is not None
-        assert session.history[-1] == expected.database
+        assert session.database == expected.database
         assert session.execute(WRITE) == expected.execute(WRITE)
         assert session.query("rollback(s, now)") == expected.query(
             "rollback(s, now)"

@@ -532,7 +532,7 @@ class TestShapeCachedPlans:
 
         def fresh_query(text):
             fresh = Session()
-            fresh.reanchor(oracle_db, record=False)
+            fresh.reanchor(oracle_db)
             return fresh.query(text)
 
         try:
@@ -689,7 +689,7 @@ class TestPlansAcrossCommandStreams:
                 continue
             store.execute(command)
             fresh = Session()
-            fresh.reanchor(cached.database, record=False)
+            fresh.reanchor(cached.database)
             for text in STREAM_QUERIES:
                 expected = outcome(fresh.query, text)
                 assert outcome(cached.query, text) == expected, (
@@ -740,7 +740,7 @@ class TestPlansAcrossCommandStreams:
                 except ReproError:
                     continue
                 fresh = Session()
-                fresh.reanchor(cached.database, record=False)
+                fresh.reanchor(cached.database)
                 for text in STREAM_QUERIES:
                     assert outcome(cached.query, text) == outcome(
                         fresh.query, text

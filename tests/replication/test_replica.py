@@ -189,34 +189,6 @@ class TestResnapshot:
         replica.catch_up()
         assert replica.database == oracle[50]
 
-    def test_resnapshot_preserves_backend_mirror(self, workload, oracle):
-        from repro.storage import DeltaBackend
-        from repro.storage.versioned_db import (
-            VersionedDatabase,
-            backends_agree,
-        )
-
-        primary = self._compacting_primary(workload, 10)
-        replica = make_replica(
-            PrimaryStream(primary), backend=DeltaBackend()
-        )
-        replica.catch_up()
-        feed(primary, workload, 70, start=10)
-        primary.checkpoint()
-        replica.catch_up()
-        assert replica.database == oracle[70]
-        reference = VersionedDatabase(DeltaBackend())
-        reference.restore(oracle[70])
-        probes = [
-            (identifier, txn)
-            for identifier in IDENTIFIERS
-            for txn in range(0, 71, 7)
-        ]
-        assert backends_agree(
-            [replica.durable.versioned.backend, reference.backend],
-            probes,
-        )
-
 
 class TestDivergence:
     def _forging_stream(self, primary):

@@ -11,7 +11,9 @@ or not at all.
 
 import pytest
 
+from repro.core.sentences import run
 from repro.errors import ReproError, SchemaError
+from repro.lang.parser import parse_command
 from repro.server.store import ServerStore
 
 STATE = "state (k: integer) { (1) }"
@@ -34,9 +36,13 @@ class TestSingleOwner:
         store.session.execute(f"modify_state(r, {STATE})")
         assert store.transaction_number == 2
         assert store.execute("define_relation(s, snapshot)") == 3
-        assert [db.transaction_number for db in store.session.history] == [
-            0, 1, 2, 3,
-        ]
+        assert store.session.database == run(
+            [
+                parse_command("define_relation(r, rollback)"),
+                parse_command(f"modify_state(r, {STATE})"),
+                parse_command("define_relation(s, snapshot)"),
+            ]
+        )
 
     def test_a_failing_sentence_leaves_no_partial_effect(self, isolation):
         store = ServerStore(isolation=isolation)
@@ -115,9 +121,9 @@ class TestReplicaViews:
                 replica = store.session.replica
                 assert replica.applied_lsn == 1
                 view.plan_cache_info()
-                # an observation: nothing applied, the trail unchanged
+                # an observation: nothing applied, the value unchanged
                 assert replica.applied_lsn == 1
-                assert len(store.session.history) == 1
+                assert store.session.transaction_number == 1
                 # a read still serves fresh
                 view.query("rollback(s, now)")
                 assert replica.applied_lsn == 2

@@ -4,8 +4,11 @@ Randomized command sentences — ≥200 commands, every routing shape — run
 through a :class:`ShardedDatabase` and the unsharded in-memory oracle;
 ``assert_differential`` then demands byte-identical ``ρ(I, N)`` for
 every identifier at every historical transaction number, across shard
-counts {1, 2, 5} and all five storage backends, with and without a
-``rebalance()`` mid-sentence.  Seeds derive from the run seed
+counts {1, 2, 5}, with and without a ``rebalance()`` mid-sentence.  The
+same sentence also runs through a :class:`VersionedDatabase` over each
+of the five storage backends, reached directly as a second reference:
+the sharded ``FINDSTATE`` must agree with every physical design at
+every transaction number.  Seeds derive from the run seed
 (``tests/conftest.py``), so any failure reproduces from the printed
 header.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.relation import EMPTY_STATE
 from repro.sharding import (
     HashPartitioner,
     RangePartitioner,
@@ -25,15 +29,17 @@ from repro.storage import (
     FullCopyBackend,
     ReverseDeltaBackend,
     TupleTimestampBackend,
+    VersionedDatabase,
 )
 
 from tests.sharding.conftest import (
     assert_differential,
+    canonical,
     oracle_history,
     sharded_workload,
 )
 
-#: All five physical backends, as per-shard mirror factories.
+#: All five physical backends, each a second reference for the sentence.
 BACKENDS = {
     "full_copy": FullCopyBackend,
     "delta": DeltaBackend,
@@ -48,6 +54,21 @@ SHARD_COUNTS = (1, 2, 5)
 SENTENCE_LENGTH = 210
 
 
+def assert_matches_backend(sharded, backend_name, commands, oracle) -> None:
+    """Replay ``commands`` into ``backend_name`` and demand the sharded
+    ``state_at`` equal the backend's for every identifier at every
+    transaction number (a backend's None is ``FINDSTATE``'s ∅)."""
+    versioned = VersionedDatabase(BACKENDS[backend_name]())
+    versioned.execute_all(commands)
+    assert versioned.transaction_number == sharded.transaction_number
+    for identifier in oracle.state.identifiers:
+        for txn in range(sharded.transaction_number + 1):
+            stored = versioned.state_at(identifier, txn)
+            assert canonical(sharded.state_at(identifier, txn)) == (
+                canonical(EMPTY_STATE if stored is None else stored)
+            ), f"{backend_name}: state_at({identifier!r}, {txn})"
+
+
 @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_sharded_matches_oracle(shards, backend_name, test_seed):
@@ -58,7 +79,6 @@ def test_sharded_matches_oracle(shards, backend_name, test_seed):
     with ShardedDatabase(
         shards,
         partitioner=HashPartitioner(salt=test_seed % 97),
-        backend_factory=BACKENDS[backend_name],
     ) as sharded:
         for index, command in enumerate(commands, start=1):
             sharded.execute(command)
@@ -69,6 +89,7 @@ def test_sharded_matches_oracle(shards, backend_name, test_seed):
                 == oracle[index].transaction_number
             ), f"drift after command {index}"
         assert_differential(sharded, oracle[-1])
+        assert_matches_backend(sharded, backend_name, commands, oracle[-1])
 
 
 @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
@@ -86,7 +107,6 @@ def test_sharded_matches_oracle_across_rebalance(
     with ShardedDatabase(
         shards,
         partitioner=HashPartitioner(salt=1),
-        backend_factory=BACKENDS[backend_name],
     ) as sharded:
         third = len(commands) // 3
         for index, command in enumerate(commands, start=1):
@@ -96,6 +116,7 @@ def test_sharded_matches_oracle_across_rebalance(
             elif index == 2 * third:
                 sharded.rebalance(HashPartitioner(salt=5))
         assert_differential(sharded, oracle[-1])
+        assert_matches_backend(sharded, backend_name, commands, oracle[-1])
 
 
 def test_sharded_matches_oracle_under_range_partitioning(test_seed):

@@ -65,14 +65,6 @@ class TestEquivalence:
         finally:
             session.close()
 
-    def test_history_is_just_the_current_value(self):
-        session = sharded_session()
-        try:
-            session.execute(PROGRAM)
-            assert session.history == (session.database,)
-        finally:
-            session.close()
-
     def test_query_routes_through_the_router(self):
         session = sharded_session()
         try:

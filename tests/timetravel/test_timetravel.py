@@ -1,10 +1,10 @@
-"""Tests for as_of pinning, views and diffing."""
+"""Tests for as_of pinning and views."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ExpressionError, RelationTypeError
+from repro.errors import ExpressionError
 from repro.core.commands import DefineRelation, ModifyState
 from repro.core.expressions import (
     Const,
@@ -12,7 +12,6 @@ from repro.core.expressions import (
     Rollback,
     Select,
     Union,
-    is_empty_set,
 )
 from repro.core.sentences import run
 from repro.core.txn import NOW
@@ -20,8 +19,7 @@ from repro.snapshot.attributes import INTEGER, Attribute
 from repro.snapshot.predicates import Comparison, attr, lit
 from repro.snapshot.schema import Schema
 from repro.snapshot.state import SnapshotState
-from repro.snapshot.tuples import SnapshotTuple
-from repro.timetravel import View, as_of, diff_states, state_history
+from repro.timetravel import View, as_of
 
 KV = Schema([Attribute("k", INTEGER), Attribute("v", INTEGER)])
 
@@ -126,59 +124,3 @@ class TestView:
         with pytest.raises(ExpressionError):
             View("", Rollback("r"))
 
-
-class TestDiff:
-    def test_added_and_removed(self, db):
-        added, removed = diff_states(db, "r", 3, 4)
-        assert added == {SnapshotTuple(KV, [3, 30])}
-        assert removed == {SnapshotTuple(KV, [1, 10])}
-
-    def test_diff_from_prehistory(self, db):
-        added, removed = diff_states(db, "r", 0, 2)
-        assert added == {SnapshotTuple(KV, [1, 10])}
-        assert removed == frozenset()
-
-    def test_identical_endpoints(self, db):
-        added, removed = diff_states(db, "r", 3, 3)
-        assert not added and not removed
-
-    def test_snapshot_relation_rejected(self):
-        database = run(
-            [
-                DefineRelation("snap", "snapshot"),
-                ModifyState("snap", Const(kv((1, 1)))),
-            ]
-        )
-        with pytest.raises(RelationTypeError):
-            diff_states(database, "snap", 1, 2)
-
-    def test_temporal_diff_reports_valid_time_changes(self):
-        from repro.historical.state import HistoricalState
-
-        who = Schema(["who"])
-        h1 = HistoricalState.from_rows(who, [(["ann"], [(0, 10)])])
-        h2 = HistoricalState.from_rows(who, [(["ann"], [(0, 25)])])
-        database = run(
-            [
-                DefineRelation("t", "temporal"),
-                ModifyState("t", Const(h1)),
-                ModifyState("t", Const(h2)),
-            ]
-        )
-        added, removed = diff_states(database, "t", 2, 3)
-        assert len(added) == 1 and len(removed) == 1  # re-stamped fact
-
-
-class TestStateHistory:
-    def test_iterates_in_order(self, db):
-        history = list(state_history(db, "r"))
-        assert [txn for txn, _ in history] == [2, 3, 4]
-        assert history[0][1] == kv((1, 10))
-
-    def test_reconstructs_diffs(self, db):
-        history = list(state_history(db, "r"))
-        for (txn_a, state_a), (txn_b, state_b) in zip(
-            history, history[1:]
-        ):
-            added, removed = diff_states(db, "r", txn_a, txn_b)
-            assert (state_a.tuples | added) - removed == state_b.tuples
