@@ -17,8 +17,6 @@ The library provides, as importable layers:
 * :mod:`repro.concurrency` — commit-timestamp transaction management;
 * :mod:`repro.benzvi` — Ben-Zvi's Time-View operator as the comparison
   baseline;
-* :mod:`repro.evolution` — the scheme-evolution extension
-  (``delete_relation`` and friends);
 * :mod:`repro.workloads` — synthetic workload generators for the benchmark
   harness.
 
@@ -45,7 +43,6 @@ from repro.errors import (
     CommandError,
     ConcurrencyError,
     DomainError,
-    EvolutionError,
     ExpressionError,
     IntervalError,
     LexError,
@@ -138,7 +135,6 @@ __all__ = [
     "TranslationError",
     "StorageError",
     "ConcurrencyError",
-    "EvolutionError",
     "WorkloadError",
     # snapshot algebra
     "Attribute",

@@ -68,8 +68,9 @@ class DatabaseState:
         return DatabaseState(updated)
 
     def unbind(self, identifier: str) -> "DatabaseState":
-        """A new state with ``identifier`` mapped back to ⊥ (used only by
-        the schema-evolution extension's ``delete_relation``)."""
+        """A new state with ``identifier`` mapped back to ⊥.  No core
+        command does this: the paper leaves ``delete_relation`` to
+        TR87-003 (Section 3.1)."""
         updated = dict(self._bindings)
         updated.pop(identifier, None)
         return DatabaseState(updated)

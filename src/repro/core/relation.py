@@ -244,8 +244,10 @@ def find_type(relation: Relation, txn: TransactionNumber) -> RelationType:
     """The paper's ``FINDTYPE`` auxiliary function (Section 4).
 
     In the core language a relation's type never changes, so ``FINDTYPE``
-    coincides with ``RTYPE`` for every transaction number; the schema-
-    evolution extension (:mod:`repro.evolution`) generalizes this to types
-    that vary over transaction time.
+    coincides with ``RTYPE`` for every transaction number.  Its scheme
+    may change (a ``modify_state`` whose new state has another schema),
+    and that change is read like any other: the schema of ``ρ(I, N)`` is
+    the scheme at ``N``.  Types that vary over transaction time are left
+    to TR87-003 (Section 3.1).
     """
     return relation.rtype

@@ -36,7 +36,6 @@ __all__ = [
     "RetryExhaustedError",
     "StaleReadError",
     "ConcurrencyError",
-    "EvolutionError",
     "WorkloadError",
     "ProtocolError",
     "ServerError",
@@ -216,11 +215,6 @@ class StaleReadError(ReplicationError):
 
 class ConcurrencyError(ReproError):
     """The transaction manager rejected or aborted a transaction."""
-
-
-class EvolutionError(ReproError):
-    """A schema-evolution operation is invalid (e.g. redefining a live
-    relation with an incompatible scheme)."""
 
 
 class WorkloadError(ReproError):

@@ -26,10 +26,8 @@ from repro.server.admission import AdmissionController, percentile
 from repro.server.client import (
     RETRYABLE_ERRORS,
     AsyncReproClient,
-    AsyncRetryingClient,
     ReproClient,
     RetryingClient,
-    connect,
 )
 from repro.server.dedup import DedupTable
 from repro.server.loadgen import (
@@ -54,7 +52,6 @@ from repro.server.store import ServerStore, SessionView
 __all__ = [
     "AdmissionController",
     "AsyncReproClient",
-    "AsyncRetryingClient",
     "DedupTable",
     "DriverConfig",
     "DriverReport",
@@ -67,7 +64,6 @@ __all__ = [
     "ServerStore",
     "SessionView",
     "ThreadedServer",
-    "connect",
     "decode_message",
     "drive_clients",
     "encode_message",

@@ -21,8 +21,8 @@ response status    raised
 A connection that closes mid-response (or mid-request — a broken pipe
 while sending) raises :class:`ConnectionClosedError`.
 
-:class:`RetryingClient` / :class:`AsyncRetryingClient` wrap the base
-clients with reconnect-and-retry under a
+:class:`RetryingClient` wraps the blocking client with
+reconnect-and-retry under a
 :class:`~repro.replication.retry.RetryPolicy`.  Every ``execute``
 carries the wrapper's session token and a per-request sequence number,
 so a retry after a mid-write connection loss is *exactly once*: if the
@@ -44,7 +44,6 @@ from repro.errors import (
     ProtocolError,
     QueueFullError,
     RemoteError,
-    RetryExhaustedError,
     ServerShutdownError,
 )
 from repro.replication.retry import RetryPolicy
@@ -55,12 +54,11 @@ __all__ = [
     "ReproClient",
     "AsyncReproClient",
     "RetryingClient",
-    "AsyncRetryingClient",
     "RETRYABLE_ERRORS",
     "raise_for_status",
 ]
 
-#: What the retrying wrappers retry: saturation, lost connections,
+#: What the retrying wrapper retries: saturation, lost connections,
 #: draining servers, and shards awaiting repair.  Everything else —
 #: deadline expiry (the work may have run), remote evaluation errors —
 #: surfaces immediately.
@@ -503,156 +501,3 @@ class RetryingClient:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-
-class AsyncRetryingClient:
-    """:class:`RetryingClient` semantics over asyncio.
-
-    :meth:`RetryPolicy.run` sleeps synchronously, so the retry loop is
-    reimplemented here over :meth:`RetryPolicy.delays` with
-    ``asyncio.sleep`` — same attempt budget, deadline, and exhaustion
-    behaviour."""
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        retry: Optional[RetryPolicy] = None,
-        max_frame: int = protocol.MAX_FRAME_BYTES,
-        session_token: Optional[str] = None,
-    ) -> None:
-        self._host = host
-        self._port = port
-        self._max_frame = max_frame
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._session = session_token or os.urandom(12).hex()
-        self._seq = 0
-        self._client: Optional[AsyncReproClient] = None
-
-    @property
-    def session_token(self) -> str:
-        return self._session
-
-    @property
-    def last_seq(self) -> int:
-        return self._seq
-
-    # -- plumbing -------------------------------------------------------------
-
-    async def _connected(self) -> AsyncReproClient:
-        if self._client is None:
-            client = AsyncReproClient(
-                self._host, self._port, max_frame=self._max_frame
-            )
-            try:
-                await client.connect()
-            except OSError as error:
-                raise ConnectionClosedError(
-                    f"cannot reach {self._host}:{self._port}: {error}"
-                ) from error
-            self._client = client
-        return self._client
-
-    async def _drop(self) -> None:
-        if self._client is not None:
-            client, self._client = self._client, None
-            await client.close()
-
-    async def _call(self, op, describe: str):
-        policy = self._retry
-        start = policy._clock()
-        delays = policy.delays()
-        last_error: Optional[BaseException] = None
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                client = await self._connected()
-                return await op(client)
-            except RETRYABLE_ERRORS as error:
-                if isinstance(
-                    error, (ConnectionClosedError, ServerShutdownError)
-                ):
-                    await self._drop()
-                last_error = error
-                if attempt == policy.max_attempts:
-                    break
-                delay = next(delays)
-                if (
-                    policy.deadline is not None
-                    and policy._clock() - start + delay > policy.deadline
-                ):
-                    break
-                if delay > 0:
-                    await asyncio.sleep(delay)
-        elapsed = policy._clock() - start
-        raise RetryExhaustedError(
-            f"{describe} failed after {attempt} attempt(s) in "
-            f"{elapsed:.3f}s: {last_error}",
-            attempts=attempt,
-            elapsed=elapsed,
-        ) from last_error
-
-    # -- ops ------------------------------------------------------------------
-
-    async def query(
-        self,
-        source: str,
-        *,
-        deadline_ms: Optional[float] = None,
-        stall_ms: Optional[float] = None,
-    ) -> str:
-        return await self._call(
-            lambda client: client.query(
-                source, deadline_ms=deadline_ms, stall_ms=stall_ms
-            ),
-            describe=f"query {source!r}",
-        )
-
-    async def execute(
-        self, source: str, *, deadline_ms: Optional[float] = None
-    ) -> int:
-        self._seq += 1
-        seq = self._seq
-        return await self._call(
-            lambda client: client.execute(
-                source,
-                deadline_ms=deadline_ms,
-                session=self._session,
-                seq=seq,
-            ),
-            describe=f"execute seq {seq}",
-        )
-
-    async def explain(self, source: str) -> str:
-        return await self._call(
-            lambda client: client.explain(source),
-            describe=f"explain {source!r}",
-        )
-
-    async def ping(self) -> int:
-        return await self._call(
-            lambda client: client.ping(), describe="ping"
-        )
-
-    async def metrics(self) -> dict:
-        return await self._call(
-            lambda client: client.metrics(), describe="metrics"
-        )
-
-    async def close(self) -> None:
-        await self._drop()
-
-    async def __aenter__(self) -> "AsyncRetryingClient":
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
-
-
-def connect(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    timeout: Optional[float] = 30.0,
-) -> ReproClient:
-    """Convenience: a connected blocking client."""
-    return ReproClient(host, port, timeout=timeout)

@@ -59,6 +59,7 @@ clients do).
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from typing import Any, Iterator, Optional
@@ -275,4 +276,13 @@ def validate_request(message: dict) -> dict:
             raise ProtocolError("session must be a non-empty string")
         if not isinstance(seq, int) or isinstance(seq, bool) or seq < 1:
             raise ProtocolError("seq must be an integer >= 1")
+    for field in ("deadline_ms", "stall_ms"):
+        value = message.get(field)
+        # type() rather than isinstance(): a bool is not a duration
+        if value is not None and (
+            type(value) not in (int, float) or not 0 <= value < math.inf
+        ):
+            raise ProtocolError(
+                f"{field} must be a finite number >= 0, got {value!r}"
+            )
     return message

@@ -18,7 +18,7 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.concurrency import TransactionManager
 from repro.core.database import Database
-from repro.core.expressions import Rollback
+from repro.core.expressions import Rollback, is_empty_set
 from repro.core.sentences import run
 from repro.core.txn import NOW
 from repro.errors import (
@@ -55,6 +55,21 @@ QUERIES = (
 )
 
 WRITE = "modify_state(s, state (k: integer) { (8) })"
+
+# add, rename and drop an attribute on a rollback and a temporal relation
+SCHEME_SCRIPT = (
+    "define_relation(r, rollback)",
+    "modify_state(r, state (k: integer, v: integer) { (1, 10), (2, 20) })",
+    "define_relation(h, temporal)",
+    "modify_state(h, state (k: integer) { (1) @ [0, 5), (2) @ [3, 9) })",
+    'modify_state(r, rollback(r, now) times state (w: string) { ("x") })',
+    "modify_state(h, rollback(h, now) "
+    'times state (w: string) { ("x") @ [0, forever) })',
+    "modify_state(r, rename(rollback(r, now), w -> z))",
+    "modify_state(h, rename(rollback(h, now), w -> z))",
+    "modify_state(r, project [k, z] (rollback(r, now)))",
+    "modify_state(h, project [k, z] (rollback(h, now)))",
+)
 
 
 def oracle() -> Session:
@@ -330,6 +345,42 @@ class TestTopology:
         )
 
 
+class TestSchemeChanges:
+    """A scheme change is a ``modify_state``, so every backing keeps the
+    scheme at ``N`` as the schema of ``rollback(I, N)``."""
+
+    @staticmethod
+    def past(read) -> list:
+        """Every ``rollback(I, N)`` of the script: text, value, schema."""
+        reads = []
+        for n in range(1, len(SCHEME_SCRIPT) + 1):
+            for identifier in ("r", "h"):
+                text = f"rollback({identifier}, {n})"
+                state = read(text)
+                schema = None if is_empty_set(state) else state.schema
+                reads.append((text, state, schema))
+        return reads
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_past_scheme_matches_the_oracle(self, kind, tmp_path):
+        expected = Session()
+        for source in SCHEME_SCRIPT:
+            expected.execute(source)
+        oracle_past = self.past(expected.query)
+        assert oracle_past[-1][2].names == ("k", "z")
+        backing = Backing(kind, tmp_path)
+        try:
+            for source in SCHEME_SCRIPT:
+                backing.write(source)
+            assert self.past(backing.session.query) == oracle_past
+        finally:
+            backing.close()
+        if kind == "durable":
+            with Session(durable_dir=str(tmp_path / "db")) as reopened:
+                assert reopened.database == expected.database
+                assert self.past(reopened.query) == oracle_past
+
+
 # -- the server's shared store ------------------------------------------------
 
 
@@ -415,3 +466,13 @@ class TestServerStore:
                 assert view.query(text) == render_state(
                     expected.query(text)
                 ), (source, text)
+
+    def test_scheme_changes_through_a_view(self, store):
+        expected = Session()
+        for source in SCHEME_SCRIPT:
+            store.write(source)
+            expected.execute(source)
+        store.store.catch_up()
+        view = store.store.view()
+        for text, state, _ in TestSchemeChanges.past(expected.query):
+            assert view.query(text) == render_state(state), text

@@ -141,6 +141,23 @@ class TestMessages:
         with pytest.raises(ProtocolError, match="id"):
             protocol.validate_request({"op": "ping"})
 
+    @pytest.mark.parametrize("field", ["deadline_ms", "stall_ms"])
+    @pytest.mark.parametrize(
+        "value", ["5", True, -1, float("nan"), float("inf"), [5]]
+    )
+    def test_validate_request_refuses_bad_durations(self, field, value):
+        with pytest.raises(ProtocolError, match=field):
+            protocol.validate_request(
+                {"id": 1, "op": "ping", field: value}
+            )
+
+    @pytest.mark.parametrize("value", [None, 0, 5, 2.5])
+    def test_validate_request_accepts_durations(self, value):
+        message = {
+            "id": 1, "op": "ping", "deadline_ms": value, "stall_ms": value
+        }
+        assert protocol.validate_request(message) is message
+
     def test_unicode_sources_survive(self):
         message = protocol.request(7, "query", "ρ(r, now) ∪ σ")
         assert decode_message(decode_frame(encode_message(message)))[

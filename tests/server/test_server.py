@@ -144,6 +144,46 @@ class TestErrorMapping:
             assert sock.recv(65536) == b""
 
 
+    def test_bad_deadline_is_refused_without_leaking_a_slot(self):
+        """A deadline that is not a number is a protocol error answered
+        before admission: were it admitted first, each such request
+        would hold a queue slot for ever and finally shed every query."""
+        with ThreadedServer(ServerConfig(port=0, queue_high=2)) as handle:
+            for _ in range(3):
+                with socket.create_connection(
+                    (handle.host, handle.port), timeout=10
+                ) as sock:
+                    sock.sendall(
+                        protocol.encode_message(
+                            {
+                                "id": 1,
+                                "op": "query",
+                                "source": "rollback(r, now)",
+                                "deadline_ms": "5",
+                            }
+                        )
+                    )
+                    data = b""
+                    while True:
+                        chunk = sock.recv(65536)
+                        if not chunk:
+                            break
+                        data += chunk
+                    reply = protocol.decode_message(
+                        protocol.decode_frame(data)
+                    )
+                    assert reply["error_type"] == "ProtocolError"
+                    assert "deadline_ms" in reply["error"]
+            expected = Session()
+            expected.execute("define_relation(r, rollback)")
+            with ReproClient(handle.host, handle.port) as client:
+                client.execute("define_relation(r, rollback)")
+                assert client.query("rollback(r, now)") == render_state(
+                    expected.query("rollback(r, now)")
+                )
+                assert client.metrics()["server.queue_depth"] == 0
+
+
 class TestFramingBoundary:
     def test_corrupt_frame_reported_then_connection_closed(self, server):
         frame = bytearray(

@@ -11,7 +11,9 @@ import os
 
 import pytest
 
+from benchmarks import bench_e2_expression_eval as bench_e2
 from benchmarks.check_bench import check, committed_names, main
+from repro.core.compile import compile_expression
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -136,3 +138,38 @@ def test_every_committed_sidecar_is_checkable():
     assert len(names) == len(glob.glob(os.path.join(REPO, "BENCH_*.json")))
     assert "e12" in names
     assert check(REPO, REPO, names) == []
+
+
+class TestE2StepCount:
+    """e2's speedup is a clock and is bimodal on a noisy host; the step
+    count beside it is not.  With subtree sharing off, the count fails
+    the committed ceiling whatever the clock says."""
+
+    class UnsharedPlan:
+        """The mutation: a plan with one step per tree node, which is
+        what ``compile_expression`` yields with subtree sharing off."""
+
+        def __init__(self, expression):
+            self.expression = expression
+            self.node_count = compile_expression(expression).node_count
+            self.step_count = self.node_count
+
+        def __call__(self, database):
+            return self.expression.evaluate(database)
+
+    def failures(self, tmp_path):
+        fresh = tmp_path / "fresh"
+        fresh.mkdir(exist_ok=True)
+        with open(fresh / "BENCH_e2.json", "w", encoding="utf-8") as handle:
+            json.dump(bench_e2.bench_payload(), handle)
+        return check(REPO, str(fresh), ["e2"])
+
+    def test_unshared_plan_is_caught(self, tmp_path, monkeypatch):
+        # take the clock out: both sides time alike
+        monkeypatch.setattr(bench_e2, "_timed", lambda fn, db, repeats: 1.0)
+        row = "e2.compiled_steps_per_tree_node"
+        assert not any(row in f for f in self.failures(tmp_path))
+        monkeypatch.setattr(bench_e2, "compile_expression", self.UnsharedPlan)
+        assert f"{row}: 1.00 is above the 0.02 ceiling" in (
+            self.failures(tmp_path)
+        )
